@@ -224,13 +224,14 @@ def _cmd_serve(args) -> int:
         scenes[scene.scene_id] = (scene, store)
     srv = server_mod.GraspServer(scenes, host=args.host, port=args.port)
     host, port = srv.address
-    print(f"serving {len(scenes)} scene(s) on {host}:{port}")
     try:
+        # flushed, so a supervisor reading a pipe learns the port at once
+        print(f"serving {len(scenes)} scene(s) on {host}:{port}", flush=True)
         srv.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        srv.stop()
+        srv.close()
     return EXIT_OK
 
 

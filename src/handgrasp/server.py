@@ -6,20 +6,27 @@ Each connection is one session. The client opens with a header line
 
 then streams frame lines in the `.frames` format. The server replies
 with the same event lines the in-process SessionEngine produces, in
-order, flushed before the next frame is read. Malformed lines get one
+order. Malformed lines get one
 
     err <code> <line-no>
 
 reply (codes: header, scene, technique, joints, parse, degenerate,
 finished) and the session continues; line numbers count every line in
 the session including the header. An `end` line yields a single
-summary line and closes the session. Sessions are fully isolated:
-every connection gets its own engine, scenes and template stores are
-shared read-only.
+summary line and closes the session. A last line without a newline is
+still a line. Sessions are fully isolated: every connection gets its
+own engine, scenes and template stores are shared read-only.
+
+The server reads whatever bytes have arrived (up to one buffer),
+handles every complete line among them and sends all their replies in
+one write before its next blocking read. The socket has TCP_NODELAY
+set, so that write leaves at once instead of waiting for the client to
+acknowledge the previous one.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import socketserver
 import threading
@@ -34,59 +41,75 @@ logger = logging.getLogger(__name__)
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
-    def _reply(self, line: str) -> None:
-        self.wfile.write((line + "\n").encode("utf-8"))
-        self.wfile.flush()
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        header = self.rfile.readline()
-        if not header:
-            return
-        parts = header.decode("utf-8", errors="replace").strip().split()
-        if len(parts) != 3 or parts[0] != "session":
-            self._reply("err header 1")
-            return
-        _, scene_id, technique = parts
-        scenes = self.server.scenes
-        if scene_id not in scenes:
-            self._reply("err scene 1")
-            return
-        if technique not in TECHNIQUES:
-            self._reply("err technique 1")
-            return
-        scene, store = scenes[scene_id]
-        engine = SessionEngine(scene, store, technique)
-
-        line_no = 1
+        self.engine: SessionEngine | None = None
+        self.line_no = 0
+        tail: list[bytes] = []  # pieces of a line whose newline has not arrived
         while True:
-            raw = self.rfile.readline()
-            if not raw:
-                return  # client went away without an end line
-            line_no += 1
-            text = raw.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            if text == "end":
-                self._reply(engine.summary().to_line())
+            chunk = self.rfile.read1(io.DEFAULT_BUFFER_SIZE)
+            if chunk:
+                *lines, rest = chunk.split(b"\n")
+                if lines:
+                    lines[0] = b"".join(tail) + lines[0]
+                    tail = []
+                if rest:
+                    tail.append(rest)
+            else:
+                # the client went away; a last line without a newline still counts
+                lines, tail = ([b"".join(tail)] if tail else []), []
+            replies: list[str] = []
+            ended = any(self._line(raw, replies) for raw in lines)
+            if replies:
+                self.wfile.write("".join(line + "\n" for line in replies).encode("utf-8"))
+            if ended or not chunk:
                 return
-            try:
-                frame = parse_frame_line(text, line_no=line_no)
-            except CountError:
-                self._reply(f"err joints {line_no}")
-                continue
-            except ParseError:
-                self._reply(f"err parse {line_no}")
-                continue
-            if engine.finished:
-                self._reply(f"err finished {line_no}")
-                continue
-            try:
-                events = engine.feed(frame)
-            except DegenerateHand:
-                self._reply(f"err degenerate {line_no}")
-                continue
-            for event in events:
-                self._reply(event)
+
+    def _line(self, raw: bytes, replies: list[str]) -> bool:
+        """Handle one line, header included, appending its replies to
+        `replies`; True when the session has ended."""
+        self.line_no += 1
+        line_no = self.line_no
+        text = raw.decode("utf-8", errors="replace").strip()
+        engine = self.engine
+        if engine is None:
+            parts = text.split()
+            if len(parts) != 3 or parts[0] != "session":
+                replies.append("err header 1")
+                return True
+            _, scene_id, technique = parts
+            scenes = self.server.scenes
+            if scene_id not in scenes:
+                replies.append("err scene 1")
+                return True
+            if technique not in TECHNIQUES:
+                replies.append("err technique 1")
+                return True
+            scene, store = scenes[scene_id]
+            self.engine = SessionEngine(scene, store, technique)
+            return False
+        if not text:
+            return False
+        if text == "end":
+            replies.append(engine.summary().to_line())
+            return True
+        try:
+            frame = parse_frame_line(text, line_no=line_no)
+        except CountError:
+            replies.append(f"err joints {line_no}")
+            return False
+        except ParseError:
+            replies.append(f"err parse {line_no}")
+            return False
+        if engine.finished:
+            replies.append(f"err finished {line_no}")
+            return False
+        try:
+            replies.extend(engine.feed(frame))
+        except DegenerateHand:
+            replies.append(f"err degenerate {line_no}")
+        return False
 
 
 class _ThreadingServer(socketserver.ThreadingTCPServer):
@@ -119,9 +142,15 @@ class GraspServer:
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
-    def stop(self) -> None:
-        self._server.shutdown()
+    def close(self) -> None:
+        """Release the listening socket once `serve_forever` has returned,
+        or if it never ran."""
         self._server.server_close()
+
+    def stop(self) -> None:
+        """Stop a server running `serve_forever` on another thread."""
+        self._server.shutdown()
+        self.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

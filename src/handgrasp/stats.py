@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DegenerateInput, EmptyInput
 
@@ -45,6 +44,10 @@ def f_tail(f: float, df_between: int, df_within: int) -> float:
     """P(F >= f) for the F distribution with the given degrees of freedom."""
     if f <= 0.0:
         return 1.0
+    # imported on first use: scipy.special takes ~0.3 s and ~25 MB to
+    # import, and recognize, simulate and serve never get here
+    from scipy.special import betainc
+
     x = df_within / (df_within + df_between * f)
     return float(betainc(df_within / 2.0, df_between / 2.0, x))
 

@@ -143,6 +143,8 @@ def parse_frame_line(
         raise ParseError("missing field 't'", line_no=line_no, field="t") from None
     except (TypeError, ValueError):
         raise ParseError("field 't' must be a number", line_no=line_no, field="t") from None
+    if not math.isfinite(timestamp):
+        raise ParseError(f"field 't' must be finite, got {timestamp!r}", line_no=line_no, field="t")
 
     side = record.get("hand")
     if side not in ("left", "right"):
@@ -169,6 +171,12 @@ def parse_frame_line(
             raise ParseError(
                 f"joint {i} has a non-numeric component", line_no=line_no, field=f"joints[{i}]"
             ) from None
+    finite = np.isfinite(joints)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ParseError(
+            f"joint {i} has a non-finite component", line_no=line_no, field=f"joints[{i}]"
+        )
 
     grip_raw = record.get("grip")
     if grip_raw is None:

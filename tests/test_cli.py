@@ -5,6 +5,9 @@ from __future__ import annotations
 import os
 import platform
 import re
+import select
+import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +18,15 @@ import pytest
 from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
 from handgrasp.sim import run_replay
-from handgrasp.streams import load_template, read_frames, read_results, synth_stream, write_frames
+from handgrasp.streams import (
+    format_frame_line,
+    load_template,
+    parse_frame_line,
+    read_frames,
+    read_results,
+    synth_stream,
+    write_frames,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -109,6 +120,15 @@ def test_module_invocation_matches_console_script():
     )
     assert module.returncode == 0
     assert module.stdout == script.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only `stats` needs scipy; every other subcommand should not pay its import
+    probe = "import sys, handgrasp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=120, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -220,6 +240,28 @@ def test_simulate_corrupt_stream_exits_2(tmp_path):
     assert "data error" in result.stderr
 
 
+def _with_nan_joint(source: Path, target: Path, line_no: int) -> None:
+    """Copy a stream with one joint component of line `line_no` set to NaN."""
+    lines = source.read_text().splitlines(keepends=True)
+    frame = parse_frame_line(lines[line_no - 1])
+    frame.joints[4, 1] = float("nan")
+    lines[line_no - 1] = format_frame_line(frame) + "\n"
+    target.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("command", ["recognize", "simulate"])
+def test_non_finite_joint_is_a_data_error_naming_line_and_field(tmp_path, custom_stream, command):
+    bad = tmp_path / "nan.frames"
+    _with_nan_joint(custom_stream, bad, line_no=40)
+    args = [command, "--in", str(bad), "--scene", str(SCENE), "--technique", "custom"]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "x.csv")]
+    result = _run(*args)
+    assert result.returncode == 2
+    assert "non-finite" in result.stderr
+    assert "(line 40, field joints[4])" in result.stderr
+
+
 # ── recognize ────────────────────────────────────────────────────────────
 
 
@@ -232,6 +274,35 @@ def test_recognize_prints_event_log_and_summary(tmp_path, custom_stream):
     assert lines[-1].startswith("summary technique=custom trials=24 ")
     assert any(line.startswith("grab ") for line in lines)
     assert any(line.startswith("release ") for line in lines)
+
+
+# ── serve ────────────────────────────────────────────────────────────────
+
+
+def test_serve_announces_its_port_on_a_pipe_and_stops_cleanly_on_sigint():
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "handgrasp", "serve", "--port", "0", "--scene", str(SCENE)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        # a hang guard, not a performance bound: an unflushed line never comes
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no ready line while the server runs"
+        line = proc.stdout.readline().decode()
+        assert line.startswith("serving 1 scene(s) on 127.0.0.1:")
+        port = int(line.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(b"hello\n")
+            assert sock.recv(64) == b"err header 1\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err.decode()
+        assert b"Traceback" not in err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 # ── stats ────────────────────────────────────────────────────────────────

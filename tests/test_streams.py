@@ -79,6 +79,26 @@ def test_frame_line_parse_errors_carry_location():
     assert "joints" in err.value.field
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_frame_line_rejects_non_finite_joint_naming_it(value):
+    joints = np.zeros((25, 3))
+    joints[11, 2] = value
+    line = format_frame_line(HandFrame(0.0, "right", joints))
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(line, line_no=6)
+    assert not isinstance(err.value, CountError)
+    assert (err.value.line_no, err.value.field) == (6, "joints[11]")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_frame_line_rejects_non_finite_timestamp(literal):
+    line = format_frame_line(HandFrame(0.5, "right", np.zeros((25, 3))))
+    line = line.replace('"t":0.5', f'"t":{literal}')
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(line, line_no=4)
+    assert (err.value.line_no, err.value.field) == (4, "t")
+
+
 def test_frame_line_unknown_field_warns_but_parses():
     base = format_frame_line(HandFrame(0.25, "right", np.zeros((25, 3))))
     line = base[:-1] + ', "confidence": 0.9}'
