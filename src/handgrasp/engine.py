@@ -26,7 +26,6 @@ from .hand import (
     JointId,
     RigidTransform,
     canonicalize,
-    palm_frame,
 )
 
 DISTANCE_BUDGET = 0.05  # meters, summed over all 25 joints
@@ -431,12 +430,18 @@ class GrabTracker:
         registry: ContextRegistry,
         object_poses: dict[str, RigidTransform],
     ) -> list[GrabEvent]:
-        """Advance one frame; grabbed objects are repositioned in place."""
+        """Advance one frame; grabbed objects are repositioned in place.
+
+        `current` must come from `canonicalize(frame)`: its palm transform
+        carries the grabbed object, so the palm basis is computed once.
+        """
+        palm = current.palm
+        if palm is None:
+            raise InvalidArgument("GrabTracker.step needs the hand canonicalize(frame) returns")
         events: list[GrabEvent] = []
         if not self.grabbed:
             match = recognize(current, registry, self.store, role=ROLE_GRAB)
             if match is not None:
-                palm = palm_frame(frame)
                 self.grabbed_object = match.object_id
                 self.grabbing_gesture = match.gesture
                 self.grab_time = frame.timestamp
@@ -447,7 +452,6 @@ class GrabTracker:
                 )
             return events
 
-        palm = palm_frame(frame)
         object_poses[self.grabbed_object] = palm.compose(self._offset)
         if self._should_release(frame, current, registry):
             events.append(

@@ -6,12 +6,17 @@ palm-local basis anchored at the wrist and divided by a per-hand size
 factor, which makes the downstream template comparison invariant to
 where the hand is, how it is rotated, and how large it is. Left hands
 are mirrored onto right-hand convention so one template serves both.
+
+The palm basis is computed once per frame, in scalar arithmetic: the same
+operations in the same order as the cross-product formulation, so the same
+bits. `canonicalize` hands its palm transform on with the canonical joints,
+and a held object rides that transform instead of a second computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -100,10 +105,15 @@ class HandFrame:
 
 @dataclass(frozen=True)
 class CanonicalHand:
-    """Palm-local, size-normalized joints plus the size factor removed."""
+    """Palm-local, size-normalized joints plus the size factor removed.
+
+    `palm` is the frame's palm transform (never mirrored) when the hand
+    came from `canonicalize`; a hand built from joints alone has none.
+    """
 
     joints_local: np.ndarray  # (25, 3) float64, wrist at origin
     scale: float
+    palm: RigidTransform | None = None
 
 
 @dataclass(frozen=True)
@@ -128,32 +138,35 @@ class RigidTransform:
         return RigidTransform(rotation=rot_t, translation=-(rot_t @ self.translation))
 
 
-@dataclass
-class _PalmAxes:
-    lateral: np.ndarray
-    normal: np.ndarray
-    forward: np.ndarray
+def _palm_basis(joints: np.ndarray) -> np.ndarray:
+    """Palm basis as a 3x3 matrix with columns lateral, normal, forward.
 
+    Scalar arithmetic on the four anchor joints: the same operations, in
+    the same order, as the vector formulation (two cross products and
+    three normalisations), so the same bits, without numpy's per-call
+    dispatch on 3-vectors.
+    """
+    # rows 0, 5, 10, 15, 20: the wrist and the four finger metacarpals
+    (wx, wy, wz), (ix, iy, iz), (mx, my, mz), _, (px, py, pz) = joints[::5].tolist()
+    fx, fy, fz = mx - wx, my - wy, mz - wz
+    sx, sy, sz = ix - px, iy - py, iz - pz
 
-def _palm_axes(joints: np.ndarray) -> _PalmAxes:
-    wrist = joints[JointId.WRIST]
-    forward_raw = joints[JointId.MIDDLE_METACARPAL] - wrist
-    span_raw = joints[JointId.INDEX_METACARPAL] - joints[JointId.PINKY_METACARPAL]
-
-    forward_len = vector_length(forward_raw)
-    span_len = vector_length(span_raw)
+    forward_len = math.sqrt(fx * fx + fy * fy + fz * fz)
+    span_len = math.sqrt(sx * sx + sy * sy + sz * sz)
     if forward_len < DEGENERATE_EPS or span_len < DEGENERATE_EPS:
         raise DegenerateHand("palm anchors coincide")
 
-    forward = forward_raw / forward_len
-    normal_raw = np.cross(forward, span_raw / span_len)
-    normal_len = vector_length(normal_raw)
+    fx, fy, fz = fx / forward_len, fy / forward_len, fz / forward_len
+    sx, sy, sz = sx / span_len, sy / span_len, sz / span_len
+    nx, ny, nz = fy * sz - fz * sy, fz * sx - fx * sz, fx * sy - fy * sx
+    normal_len = math.sqrt(nx * nx + ny * ny + nz * nz)
     if normal_len < DEGENERATE_EPS:
         raise DegenerateHand("palm anchors are collinear")
 
-    normal = normal_raw / normal_len
-    lateral = np.cross(normal, forward)  # unit: normal ⟂ forward by construction
-    return _PalmAxes(lateral=lateral, normal=normal, forward=forward)
+    nx, ny, nz = nx / normal_len, ny / normal_len, nz / normal_len
+    # unit: normal ⟂ forward by construction
+    lx, ly, lz = ny * fz - nz * fy, nz * fx - nx * fz, nx * fy - ny * fx
+    return np.array([[lx, nx, fx], [ly, ny, fy], [lz, nz, fz]])
 
 
 def palm_frame(frame: HandFrame) -> RigidTransform:
@@ -161,14 +174,18 @@ def palm_frame(frame: HandFrame) -> RigidTransform:
 
     Forward points from the wrist toward the middle metacarpal, the
     normal is perpendicular to the palm, and the lateral axis completes
-    the basis (lateral x normal = forward).
+    the basis (lateral x normal = forward). The basis is computed in
+    scalar arithmetic and has the same bits as the vector formulation
+    with cross products. `canonicalize` returns this transform as
+    `CanonicalHand.palm`, so a frame that is canonicalized needs no
+    second call.
 
     Raises DegenerateHand when the wrist and the index/middle/pinky
     metacarpals do not span a plane.
     """
-    axes = _palm_axes(frame.joints)
-    rotation = np.column_stack((axes.lateral, axes.normal, axes.forward))
-    return RigidTransform(rotation=rotation, translation=frame.joints[JointId.WRIST].copy())
+    return RigidTransform(
+        rotation=_palm_basis(frame.joints), translation=frame.joints[JointId.WRIST].copy()
+    )
 
 
 def hand_scale(frame: HandFrame) -> float:
@@ -185,17 +202,18 @@ def canonicalize(frame: HandFrame) -> CanonicalHand:
     The wrist maps to the origin. Left hands get their palm-normal
     coordinate negated, which maps a left hand onto the right-hand
     convention: mirror-image poses canonicalize identically regardless
-    of side.
+    of side. The palm basis is computed once per frame: the unmirrored
+    palm transform comes back as `palm`, for callers that move a held
+    object with the hand.
     """
-    axes = _palm_axes(frame.joints)
+    palm = palm_frame(frame)
     scale = hand_scale(frame)
-    offsets = frame.joints - frame.joints[JointId.WRIST]
-    basis = np.column_stack((axes.lateral, axes.normal, axes.forward))
-    local = (offsets @ basis) / scale
+    offsets = frame.joints - palm.translation
+    local = (offsets @ palm.rotation) / scale
     if frame.side == "left":
         local = local.copy()
         local[:, 1] = -local[:, 1]
-    return CanonicalHand(joints_local=local, scale=scale)
+    return CanonicalHand(joints_local=local, scale=scale, palm=palm)
 
 
 def palm_center(frame: HandFrame) -> np.ndarray:

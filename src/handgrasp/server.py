@@ -129,16 +129,19 @@ class GraspServer:
         self._server = _ThreadingServer((host, port), _SessionHandler)
         self._server.scenes = scenes
         self._thread: threading.Thread | None = None
+        self._serving = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._server.serve_forever()
 
     def start(self) -> None:
         """Serve on a background thread (used by tests and embedders)."""
+        self._serving = True
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
@@ -148,8 +151,12 @@ class GraspServer:
         self._server.server_close()
 
     def stop(self) -> None:
-        """Stop a server running `serve_forever` on another thread."""
-        self._server.shutdown()
+        """Stop a server running `serve_forever` on another thread, and
+        release its socket; a server that never served is just closed."""
+        if self._serving:
+            # waits for an event only serve_forever sets, hence the flag
+            self._server.shutdown()
+            self._serving = False
         self.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -315,7 +315,7 @@ class SessionEngine:
         self._held_object = obj.object_id
         self._held_offset = palm.inverse().compose(self.object_poses[obj.object_id])
         self._grab_time = frame.timestamp
-        self._update_held(frame)
+        self.object_poses[obj.object_id] = palm.compose(self._held_offset)
         return [f"grab {obj.object_id} {label} {_fmt(0.0)} {_fmt(frame.timestamp)}"]
 
     def _direct_release(self, frame: HandFrame) -> list[str]:

@@ -130,6 +130,8 @@ def parse_frame_line(
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no, field="json") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}", line_no=line_no, field="json") from exc
     if not isinstance(record, dict):
         raise ParseError("frame record must be an object", line_no=line_no, field="json")
 
@@ -143,6 +145,8 @@ def parse_frame_line(
         raise ParseError("missing field 't'", line_no=line_no, field="t") from None
     except (TypeError, ValueError):
         raise ParseError("field 't' must be a number", line_no=line_no, field="t") from None
+    except OverflowError:  # an integer too large for a float
+        raise ParseError("field 't' is out of range", line_no=line_no, field="t") from None
     if not math.isfinite(timestamp):
         raise ParseError(f"field 't' must be finite, got {timestamp!r}", line_no=line_no, field="t")
 
@@ -170,6 +174,10 @@ def parse_frame_line(
         except (TypeError, ValueError):
             raise ParseError(
                 f"joint {i} has a non-numeric component", line_no=line_no, field=f"joints[{i}]"
+            ) from None
+        except OverflowError:  # an integer too large for a float
+            raise ParseError(
+                f"joint {i} has an out-of-range component", line_no=line_no, field=f"joints[{i}]"
             ) from None
     finite = np.isfinite(joints)
     if not finite.all():

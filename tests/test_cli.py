@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import re
@@ -259,6 +260,23 @@ def test_non_finite_joint_is_a_data_error_naming_line_and_field(tmp_path, custom
     result = _run(*args)
     assert result.returncode == 2
     assert "non-finite" in result.stderr
+    assert "(line 40, field joints[4])" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["recognize", "simulate"])
+def test_integer_too_large_for_a_float_is_a_data_error(tmp_path, custom_stream, command):
+    lines = custom_stream.read_text().splitlines(keepends=True)
+    record = json.loads(lines[39])
+    record["joints"][4][1] = "HUGE"  # JSON allows any integer; a float cannot hold this one
+    lines[39] = json.dumps(record).replace('"HUGE"', "1" + "0" * 400) + "\n"
+    bad = tmp_path / "huge.frames"
+    bad.write_text("".join(lines))
+    args = [command, "--in", str(bad), "--scene", str(SCENE), "--technique", "custom"]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "x.csv")]
+    result = _run(*args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
     assert "(line 40, field joints[4])" in result.stderr
 
 

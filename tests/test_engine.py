@@ -548,3 +548,12 @@ def test_grab_records_offset_and_score():
     assert grab.gesture == "fist-g"
     assert grab.score == pytest.approx(0.0, abs=1e-12)
     assert tracker.grab_time == 0.0
+
+
+def test_tracker_needs_the_palm_that_canonicalize_returns():
+    tracker, registry, poses = _grab_setup("deviation")
+    frame = HandFrame(0.0, "right", keypose("fist") + np.array([0.3, 0.0, 0.3]))
+    bare = CanonicalHand(canonicalize(frame).joints_local, 1.0)
+    with pytest.raises(InvalidArgument):
+        tracker.step(frame, bare, registry, poses)
+    assert not tracker.grabbed

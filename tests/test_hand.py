@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handgrasp.errors import DegenerateHand
 from handgrasp.hand import (
+    DEGENERATE_EPS,
     JOINT_COUNT,
     REFERENCE_LENGTH,
     HandFrame,
@@ -15,6 +17,7 @@ from handgrasp.hand import (
     canonicalize,
     hand_scale,
     palm_frame,
+    vector_length,
 )
 
 from conftest import random_pose_joints, random_rotation
@@ -188,3 +191,103 @@ def test_rigid_transform_compose_inverse_roundtrip():
     both = transform.compose(transform.inverse())
     assert np.allclose(both.rotation, np.eye(3), atol=1e-12)
     assert np.allclose(both.translation, 0.0, atol=1e-12)
+
+
+# ── the scalar palm kernel against the vector formulation ───────────────
+
+
+def _reference_basis(joints: np.ndarray) -> np.ndarray:
+    """The palm basis as cross products of 3-vectors, which the scalar
+    kernel replaced; it must keep giving the same bits."""
+    wrist = joints[JointId.WRIST]
+    forward_raw = joints[JointId.MIDDLE_METACARPAL] - wrist
+    span_raw = joints[JointId.INDEX_METACARPAL] - joints[JointId.PINKY_METACARPAL]
+    forward_len = vector_length(forward_raw)
+    span_len = vector_length(span_raw)
+    if forward_len < DEGENERATE_EPS or span_len < DEGENERATE_EPS:
+        raise DegenerateHand("palm anchors coincide")
+    forward = forward_raw / forward_len
+    normal_raw = np.cross(forward, span_raw / span_len)
+    normal_len = vector_length(normal_raw)
+    if normal_len < DEGENERATE_EPS:
+        raise DegenerateHand("palm anchors are collinear")
+    normal = normal_raw / normal_len
+    lateral = np.cross(normal, forward)
+    return np.column_stack((lateral, normal, forward))
+
+
+def _reference_canonical(frame: HandFrame) -> tuple[np.ndarray, float]:
+    basis = _reference_basis(frame.joints)
+    scale = hand_scale(frame)
+    local = ((frame.joints - frame.joints[JointId.WRIST]) @ basis) / scale
+    if frame.side == "left":
+        local = local.copy()
+        local[:, 1] = -local[:, 1]
+    return local, scale
+
+
+def _outcome(basis_of, joints: np.ndarray):
+    try:
+        return basis_of(joints)
+    except DegenerateHand as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    side=st.sampled_from(("left", "right")),
+    size=st.floats(0.5, 2.0),
+    shift=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+)
+def test_palm_basis_and_canonical_joints_are_bit_equal_to_the_reference(seed, side, size, shift):
+    rng = np.random.default_rng(seed)
+    joints = random_pose_joints(rng)
+    if side == "left":
+        joints = joints * np.array([-1.0, 1.0, 1.0])
+    joints = (joints * size) @ random_rotation(rng).T + np.array(shift)
+    frame = HandFrame(0.0, side, joints)
+
+    palm = palm_frame(frame)
+    assert np.array_equal(palm.rotation, _reference_basis(joints))
+    assert np.array_equal(palm.translation, joints[JointId.WRIST])
+
+    canonical = canonicalize(frame)
+    local, scale = _reference_canonical(frame)
+    assert np.array_equal(canonical.joints_local, local)
+    assert canonical.scale == scale
+    # the palm canonicalize returns is the unmirrored palm_frame, on both sides
+    assert np.array_equal(canonical.palm.rotation, palm.rotation)
+    assert np.array_equal(canonical.palm.translation, palm.translation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("forward", "span", "collinear")),
+    gap=st.one_of(
+        st.sampled_from((0.0, 1e-12, DEGENERATE_EPS, 1e-6)),
+        st.floats(0.0, 1e-8),
+    ),
+)
+def test_degenerate_anchors_raise_exactly_where_the_reference_does(seed, kind, gap):
+    rng = np.random.default_rng(seed)
+    joints = random_pose_joints(rng) @ random_rotation(rng).T
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    if kind == "forward":  # middle metacarpal on (or next to) the wrist
+        joints[JointId.MIDDLE_METACARPAL] = joints[JointId.WRIST] + gap * direction
+    elif kind == "span":  # index metacarpal on (or next to) the pinky one
+        joints[JointId.INDEX_METACARPAL] = joints[JointId.PINKY_METACARPAL] + gap * direction
+    else:  # index-pinky span along the wrist-middle line, then nudged off it
+        forward = joints[JointId.MIDDLE_METACARPAL] - joints[JointId.WRIST]
+        joints[JointId.INDEX_METACARPAL] = (
+            joints[JointId.PINKY_METACARPAL] + rng.uniform(-1.0, 1.0) * forward + gap * direction
+        )
+
+    expected = _outcome(_reference_basis, joints)
+    actual = _outcome(lambda j: palm_frame(HandFrame(0.0, "right", j)).rotation, joints)
+    if isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert np.array_equal(actual, expected)

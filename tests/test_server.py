@@ -4,7 +4,9 @@ how replies are written."""
 from __future__ import annotations
 
 import io
+import json
 import socket
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -207,6 +209,19 @@ def test_non_finite_joint_is_a_parse_error_and_the_session_continues(service):
     assert replies == expected[:1] + ["err parse 52"] + expected[1:]
 
 
+def test_integer_too_large_for_a_float_is_a_parse_error_and_the_session_continues(service):
+    address, scenes = service
+    lines = _mini_stream_lines()
+    record = json.loads(lines[50])
+    record["t"] = "HUGE"
+    bad = json.dumps(record).replace('"HUGE"', "1" + "0" * 400)
+    replies = _talk(address, "session mini controller", lines[:50] + [bad] + lines[50:])
+    engine = SessionEngine(*scenes["mini"], "controller")
+    expected = [event for line in lines for event in engine.feed(parse_frame_line(line))]
+    expected.append(engine.summary().to_line())
+    assert replies == expected[:1] + ["err parse 52"] + expected[1:]
+
+
 def _exchange(address, payload: bytes) -> bytes:
     with socket.create_connection(address, timeout=60) as sock:
         sock.settimeout(300)
@@ -223,6 +238,29 @@ def test_last_line_without_newline_is_still_handled(service):
     assert _exchange(address, b"session ghost custom") == b"err scene 1\n"
     replies = _exchange(address, b"session demo custom\nend").decode().splitlines()
     assert len(replies) == 1 and replies[0].startswith("summary technique=custom trials=0 ")
+
+
+# ── stopping ─────────────────────────────────────────────────────────────
+
+
+def _stop_within(server: GraspServer, seconds: float) -> bool:
+    """Run `stop()` on a thread; True when it returned within `seconds`."""
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=seconds)
+    return not stopper.is_alive()
+
+
+def test_stop_returns_for_a_server_that_never_served():
+    assert _stop_within(GraspServer({}, port=0), 3.0)
+
+
+def test_stop_after_start_ends_the_serving_thread():
+    server = GraspServer({}, port=0)
+    server.start()
+    serving = server._thread
+    assert _stop_within(server, 10.0)
+    assert not serving.is_alive()
 
 
 # ── how replies are written ──────────────────────────────────────────────

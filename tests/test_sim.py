@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from handgrasp import hand
 from handgrasp.engine import TemplateStore
 from handgrasp.errors import IncompleteRun, InvalidArgument, ParseError, ProtocolViolation
 from handgrasp.scene import (
@@ -19,6 +20,7 @@ from handgrasp.scene import (
 )
 from handgrasp.scripts import script_protocol_run
 from handgrasp.sim import (
+    TECHNIQUES,
     SessionEngine,
     color_band,
     draw_target_centers,
@@ -180,6 +182,32 @@ def test_run_replay_is_deterministic(demo):
     assert first[2] == second[2]
     assert first[1].placements == len(scene.objects) * scene.protocol.repeats
     assert first[1].drops == 0
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_palm_basis_is_computed_at_most_once_per_frame(demo, technique, monkeypatch):
+    scene, store = demo
+    basis = hand._palm_basis
+    calls = []
+
+    def counted(joints):
+        calls.append(None)
+        return basis(joints)
+
+    monkeypatch.setattr(hand, "_palm_basis", counted)
+    engine = SessionEngine(scene, store, technique)
+    per_frame = []
+    for frame in script_protocol_run(scene, technique):
+        if engine.finished:
+            break
+        before = len(calls)
+        engine.feed(frame)
+        per_frame.append(len(calls) - before)
+    assert engine.finished
+    assert max(per_frame) == 1
+    if technique in ("grab", "custom"):
+        # canonicalize runs on every frame and its palm carries the held object
+        assert min(per_frame) == 1
 
 
 # ── summaries ────────────────────────────────────────────────────────────

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,32 @@ def test_frame_line_rejects_non_finite_timestamp(literal):
     with pytest.raises(ParseError) as err:
         parse_frame_line(line, line_no=4)
     assert (err.value.line_no, err.value.field) == (4, "t")
+
+
+def _with_integer(line: str, field: str, digits: int) -> str:
+    """`line` with `t` or one joint component replaced by a `digits`-digit integer."""
+    record = json.loads(line)
+    huge = "1" + "0" * (digits - 1)
+    if field == "t":
+        record["t"] = "HUGE"
+    else:
+        record["joints"][7][1] = "HUGE"
+    return json.dumps(record).replace('"HUGE"', huge)
+
+
+@pytest.mark.parametrize(
+    "field, digits, expected",
+    [
+        ("t", 401, "t"),  # too large for a float
+        ("joint", 401, "joints[7]"),
+        ("joint", 5000, "json"),  # past the interpreter's integer digit limit
+    ],
+)
+def test_frame_line_rejects_an_over_large_integer(field, digits, expected):
+    line = format_frame_line(HandFrame(0.5, "right", np.zeros((25, 3))))
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(_with_integer(line, field, digits), line_no=4)
+    assert (err.value.line_no, err.value.field) == (4, expected)
 
 
 def test_frame_line_unknown_field_warns_but_parses():
