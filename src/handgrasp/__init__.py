@@ -10,6 +10,7 @@ from .errors import (
     InvalidArgument,
     ParseError,
     ProtocolViolation,
+    TimeOrderError,
 )
 from .hand import (
     FINGERTIPS,

@@ -2,14 +2,16 @@
 
 Subcommands: capture, recognize, simulate, synth, stats, latin-square,
 serve. Exit codes: 0 success, 1 usage error, 2 data error (parse /
-geometry / tracking), 3 protocol violation (incomplete or overrun
-runs).
+geometry / tracking / time going backwards), 3 protocol violation
+(incomplete or overrun runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 
 from . import server as server_mod
 from .engine import CaptureSession
@@ -21,6 +23,7 @@ from .errors import (
     InvalidArgument,
     ParseError,
     ProtocolViolation,
+    TimeOrderError,
 )
 from .scene import load_scene
 from .sim import SessionEngine, latin_square_order, run_replay, TECHNIQUES
@@ -224,13 +227,24 @@ def _cmd_serve(args) -> int:
         scenes[scene.scene_id] = (scene, store)
     srv = server_mod.GraspServer(scenes, host=args.host, port=args.port)
     host, port = srv.address
+    # A KeyboardInterrupt raised while socketserver starts a handler thread
+    # can break that thread's start lock and be swallowed, leaving the
+    # server up; so SIGINT asks serve_forever to return instead. shutdown()
+    # waits for that, hence the helper thread.
+    interrupted = threading.Event()
+
+    def shutdown_when_interrupted() -> None:
+        interrupted.wait()
+        srv.shutdown()
+
+    threading.Thread(target=shutdown_when_interrupted, daemon=True).start()
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: interrupted.set())
     try:
         # flushed, so a supervisor reading a pipe learns the port at once
         print(f"serving {len(scenes)} scene(s) on {host}:{port}", flush=True)
         srv.serve_forever()
-    except KeyboardInterrupt:
-        pass
     finally:
+        signal.signal(signal.SIGINT, previous)
         srv.close()
     return EXIT_OK
 
@@ -247,7 +261,7 @@ def main(argv=None) -> int:
         where = f" (line {exc.line_no}, field {exc.field})" if exc.line_no else ""
         print(f"data error: {exc}{where}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateHand, HandLost, DegenerateInput, FileNotFoundError) as exc:
+    except (DegenerateHand, HandLost, DegenerateInput, TimeOrderError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InvalidArgument as exc:

@@ -32,6 +32,10 @@ class CountError(ParseError):
     """A joint array had the wrong number of entries."""
 
 
+class TimeOrderError(HandGraspError):
+    """A frame's timestamp is earlier than the frame fed before it."""
+
+
 class ProtocolViolation(HandGraspError):
     """A frame arrived for a run that already finished."""
 

@@ -11,11 +11,11 @@ order. Malformed lines get one
     err <code> <line-no>
 
 reply (codes: header, scene, technique, joints, parse, degenerate,
-finished) and the session continues; line numbers count every line in
-the session including the header. An `end` line yields a single
-summary line and closes the session. A last line without a newline is
-still a line. Sessions are fully isolated: every connection gets its
-own engine, scenes and template stores are shared read-only.
+time, finished) and the session continues; line numbers count every
+line in the session including the header. An `end` line yields a
+single summary line and closes the session. A last line without a
+newline is still a line. Sessions are fully isolated: every connection
+gets its own engine, scenes and template stores are shared read-only.
 
 The server reads whatever bytes have arrived (up to one buffer),
 handles every complete line among them and sends all their replies in
@@ -31,7 +31,7 @@ import logging
 import socketserver
 import threading
 
-from .errors import DegenerateHand, ParseError, CountError
+from .errors import CountError, DegenerateHand, ParseError, TimeOrderError
 from .scene import Scene
 from .engine import TemplateStore
 from .sim import SessionEngine, TECHNIQUES
@@ -109,6 +109,8 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             replies.extend(engine.feed(frame))
         except DegenerateHand:
             replies.append(f"err degenerate {line_no}")
+        except TimeOrderError:
+            replies.append(f"err time {line_no}")
         return False
 
 
@@ -145,6 +147,12 @@ class GraspServer:
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
+    def shutdown(self) -> None:
+        """Make `serve_forever`, running on another thread, return, and wait
+        until it has; if it has not started yet, it returns at once when
+        it does."""
+        self._server.shutdown()
+
     def close(self) -> None:
         """Release the listening socket once `serve_forever` has returned,
         or if it never ran."""
@@ -155,7 +163,7 @@ class GraspServer:
         release its socket; a server that never served is just closed."""
         if self._serving:
             # waits for an event only serve_forever sets, hence the flag
-            self._server.shutdown()
+            self.shutdown()
             self._serving = False
         self.close()
         if self._thread is not None:

@@ -31,7 +31,7 @@ from .engine import (
     hover_update,
     surface_distance,
 )
-from .errors import IncompleteRun, InvalidArgument, ProtocolViolation
+from .errors import IncompleteRun, InvalidArgument, ProtocolViolation, TimeOrderError
 from .hand import HandFrame, RigidTransform, canonicalize, palm_frame, vector_length
 from .pinch import PinchState
 from .scene import ProtocolSpec, Scene, SceneObject
@@ -141,6 +141,7 @@ class SessionEngine:
         self.registry = ContextRegistry(scene.hover_radius)
         self.results: list[TrialResult] = []
         self.finished = False
+        self._last_time: float | None = None
 
         self.object_poses: dict[str, RigidTransform] = {
             obj.object_id: RigidTransform(np.eye(3), obj.position.copy())
@@ -226,9 +227,19 @@ class SessionEngine:
     # ── frame stepping ─────────────────────────────────────────────────
 
     def feed(self, frame: HandFrame) -> list[str]:
-        """Advance one frame; returns the event lines it produced."""
+        """Advance one frame; returns the event lines it produced.
+
+        Raises TimeOrderError, before any state changes, for a frame
+        stamped earlier than the one fed before it; equal stamps are fine.
+        """
         if self.finished:
             raise ProtocolViolation("frame arrived after the run finished")
+        if self._last_time is not None and frame.timestamp < self._last_time:
+            raise TimeOrderError(
+                f"frame time {frame.timestamp!r} is earlier than the previous "
+                f"frame's {self._last_time!r}"
+            )
+        self._last_time = frame.timestamp
         if (
             self._protocol is not None
             and self._active is None

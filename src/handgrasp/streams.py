@@ -139,11 +139,14 @@ def parse_frame_line(
         if key not in _FRAME_FIELDS:
             warn(f"line {line_no}: ignoring unknown field {key!r}")
 
+    if "t" not in record:
+        raise ParseError("missing field 't'", line_no=line_no, field="t")
+    t_raw = record["t"]
     try:
-        timestamp = float(record["t"])
-    except KeyError:
-        raise ParseError("missing field 't'", line_no=line_no, field="t") from None
-    except (TypeError, ValueError):
+        if isinstance(t_raw, bool):  # float() would read it as 0 or 1
+            raise TypeError
+        timestamp = _component(t_raw)
+    except TypeError:
         raise ParseError("field 't' must be a number", line_no=line_no, field="t") from None
     except OverflowError:  # an integer too large for a float
         raise ParseError("field 't' is out of range", line_no=line_no, field="t") from None
@@ -163,22 +166,18 @@ def parse_frame_line(
             line_no=line_no,
             field="joints",
         )
-    joints = np.empty((JOINT_COUNT, 3), dtype=np.float64)
-    for i, entry in enumerate(joints_raw):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise CountError(
-                f"joint {i} must be [x, y, z]", line_no=line_no, field=f"joints[{i}]"
-            )
-        try:
-            joints[i] = [float(v) for v in entry]
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"joint {i} has a non-numeric component", line_no=line_no, field=f"joints[{i}]"
-            ) from None
-        except OverflowError:  # an integer too large for a float
-            raise ParseError(
-                f"joint {i} has an out-of-range component", line_no=line_no, field=f"joints[{i}]"
-            ) from None
+    # One numpy conversion reads a well-formed joint list. It yields a
+    # float or int64 (25, 3) array only when every entry is a list of
+    # three numbers (booleans among them read as 0/1); anything else,
+    # including ints past int64, is left to the per-joint loop.
+    try:
+        joints = np.array(joints_raw)
+    except ValueError:  # ragged or nested entries
+        joints = None
+    if joints is not None and joints.shape == (JOINT_COUNT, 3) and joints.dtype.kind in "fi":
+        joints = joints.astype(np.float64, copy=False)
+    else:
+        joints = _joints_one_by_one(joints_raw, line_no)
     finite = np.isfinite(joints)
     if not finite.all():
         i = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -198,6 +197,34 @@ def parse_frame_line(
             f"field 'grip' must be 0|1, got {grip_raw!r}", line_no=line_no, field="grip"
         )
     return HandFrame(timestamp=timestamp, side=side, joints=joints, grip=grip)
+
+
+def _joints_one_by_one(joints_raw: list, line_no: int) -> np.ndarray:
+    """Convert the joint list entry by entry, raising the error that names
+    the first bad joint; returns the array when every entry is numeric."""
+    joints = np.empty((JOINT_COUNT, 3), dtype=np.float64)
+    for i, entry in enumerate(joints_raw):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise CountError(
+                f"joint {i} must be [x, y, z]", line_no=line_no, field=f"joints[{i}]"
+            )
+        try:
+            joints[i] = [_component(v) for v in entry]
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"joint {i} has a non-numeric component", line_no=line_no, field=f"joints[{i}]"
+            ) from None
+        except OverflowError:  # an integer too large for a float
+            raise ParseError(
+                f"joint {i} has an out-of-range component", line_no=line_no, field=f"joints[{i}]"
+            ) from None
+    return joints
+
+
+def _component(value) -> float:
+    if isinstance(value, str):  # float() would read "0.5", "1_0" and " 1"
+        raise TypeError
+    return float(value)
 
 
 def write_frames(path: str | Path, frames: Iterable[HandFrame]) -> None:

@@ -11,6 +11,9 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,22 @@ def test_integer_too_large_for_a_float_is_a_data_error(tmp_path, custom_stream, 
     assert "(line 40, field joints[4])" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["recognize", "simulate"])
+def test_frame_earlier_than_the_last_is_a_data_error(tmp_path, custom_stream, command):
+    lines = custom_stream.read_text().splitlines(keepends=True)
+    frame = parse_frame_line(lines[39])
+    lines[39] = format_frame_line(replace(frame, timestamp=frame.timestamp - 0.1)) + "\n"
+    bad = tmp_path / "backwards.frames"
+    bad.write_text("".join(lines))
+    args = [command, "--in", str(bad), "--scene", str(SCENE), "--technique", "custom"]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "x.csv")]
+    result = _run(*args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "earlier than the previous frame" in result.stderr
+
+
 # ── recognize ────────────────────────────────────────────────────────────
 
 
@@ -317,6 +336,84 @@ def test_serve_announces_its_port_on_a_pipe_and_stops_cleanly_on_sigint():
         _, err = proc.communicate(timeout=30)
         assert proc.returncode == 0, err.decode()
         assert b"Traceback" not in err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
+def _serving(command: list[str]) -> tuple[subprocess.Popen, int]:
+    """Start a `serve` command on port 0; the process and the port it chose."""
+    proc = subprocess.Popen(
+        [sys.executable, *command, "serve", "--port", "0", "--scene", str(SCENE)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+    )
+    ready, _, _ = select.select([proc.stdout], [], [], 30)
+    if not ready:
+        proc.kill()
+        proc.communicate()
+        raise AssertionError("no ready line while the server runs")
+    return proc, int(proc.stdout.readline().decode().rsplit(":", 1)[1])
+
+
+def test_serve_exits_cleanly_on_sigint_while_clients_connect():
+    # A SIGINT that lands while the server starts a handler thread must still
+    # stop it; cycles with a client connecting as fast as it can give it the
+    # chance to land there.
+    def connect_until_stopped(port: int, stop: threading.Event) -> None:
+        while not stop.is_set():
+            try:
+                with socket.create_connection(("127.0.0.1", port), timeout=5):
+                    pass
+            except OSError:
+                return  # the server has gone
+
+    for cycle in range(10):
+        proc, port = _serving(["-m", "handgrasp"])
+        stop = threading.Event()
+        client = threading.Thread(target=connect_until_stopped, args=(port, stop), daemon=True)
+        try:
+            client.start()
+            time.sleep(0.05 + 0.02 * cycle)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+            assert (cycle, proc.returncode, err.decode()) == (cycle, 0, "")
+        finally:
+            stop.set()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            client.join(timeout=10)
+            assert not client.is_alive()
+
+
+# Runs `handgrasp serve` with each connection held for a second in the
+# server's main thread, where socketserver starts the handler thread. An
+# interrupt raised in Thread.start can break its start lock, so that
+# socketserver sees a RuntimeError instead; the wrapper does that on purpose.
+_SLOW_HANDLER_START = f"""
+import socketserver, sys, time
+from {_MODULE} import {_FUNCTION} as main
+start_handler = socketserver.ThreadingMixIn.process_request
+def process_request(self, request, client_address):
+    try:
+        time.sleep(1.0)
+        start_handler(self, request, client_address)
+    except KeyboardInterrupt:
+        raise RuntimeError("release unlocked lock") from None
+socketserver.ThreadingMixIn.process_request = process_request
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_serve_exits_cleanly_on_sigint_while_starting_a_handler():
+    proc, port = _serving(["-c", _SLOW_HANDLER_START])
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5):
+            time.sleep(0.3)  # the server is now inside process_request
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+        assert (proc.returncode, err.decode()) == (0, "")
     finally:
         if proc.poll() is None:
             proc.kill()

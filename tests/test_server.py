@@ -222,6 +222,20 @@ def test_integer_too_large_for_a_float_is_a_parse_error_and_the_session_continue
     assert replies == expected[:1] + ["err parse 52"] + expected[1:]
 
 
+def test_frame_earlier_than_the_last_is_a_time_error_and_the_session_continues(service):
+    address, scenes = service
+    lines = _mini_stream_lines()
+    back = format_frame_line(pose_frame("fist", timestamp=0.3, at=(0.0, 0.2, 0.5), grip=True))
+    replies = _talk(address, "session mini controller", lines[:150] + [back] + lines[150:])
+    engine = SessionEngine(*scenes["mini"], "controller")
+    expected = [event for line in lines[:150] for event in engine.feed(parse_frame_line(line))]
+    count = len(expected)
+    expected += [event for line in lines[150:] for event in engine.feed(parse_frame_line(line))]
+    expected.append(engine.summary().to_line())
+    # the backwards frame is line 152 (header, then 150 good frames), mid-carry
+    assert replies == expected[:count] + ["err time 152"] + expected[count:]
+
+
 def _exchange(address, payload: bytes) -> bytes:
     with socket.create_connection(address, timeout=60) as sock:
         sock.settimeout(300)

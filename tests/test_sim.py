@@ -9,7 +9,13 @@ import pytest
 
 from handgrasp import hand
 from handgrasp.engine import TemplateStore
-from handgrasp.errors import IncompleteRun, InvalidArgument, ParseError, ProtocolViolation
+from handgrasp.errors import (
+    IncompleteRun,
+    InvalidArgument,
+    ParseError,
+    ProtocolViolation,
+    TimeOrderError,
+)
 from handgrasp.scene import (
     ProtocolSpec,
     Scene,
@@ -145,6 +151,30 @@ def test_next_trial_starts_after_disappear_delay():
     # past release + 1.0 s the object is back at its start position
     lines = engine.feed(pose_frame("open", timestamp=4.5, at=CUBE_AT, grip=False))
     assert any(line.startswith("hover cube ") for line in lines)
+
+
+@pytest.mark.parametrize("technique", ["controller", "pinch", "custom"])
+def test_frame_earlier_than_the_last_is_rejected_before_any_state_changes(technique):
+    frames = _grip_stream(TARGET)
+    reference = SessionEngine(_mini_scene(), TemplateStore(), technique)
+    expected = [line for frame in frames for line in reference.feed(frame)]
+    engine = SessionEngine(_mini_scene(), TemplateStore(), technique)
+    lines = []
+    for i, frame in enumerate(frames):
+        lines.extend(engine.feed(frame))
+        if i in (0, 107, 108, 200, 305):  # around the grip edge, in transit, before release
+            back = pose_frame("fist", timestamp=frame.timestamp - 0.25, at=TARGET, grip=i < 108)
+            with pytest.raises(TimeOrderError):
+                engine.feed(back)
+    assert lines == expected
+    assert engine.results == reference.results
+
+
+def test_equal_timestamps_are_accepted():
+    engine = SessionEngine(_mini_scene(), TemplateStore(), "controller")
+    frame = pose_frame("open", timestamp=1.0, at=CUBE_AT)
+    engine.feed(frame)
+    assert engine.feed(frame) == []
 
 
 def test_unknown_technique_rejected():

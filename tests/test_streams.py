@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from handgrasp.engine import GestureTemplate, pose_distance
 from handgrasp.errors import CountError, ParseError
@@ -34,15 +38,25 @@ from handgrasp.streams import (
 # ── frame records ────────────────────────────────────────────────────────
 
 
-def test_frame_line_round_trip_is_exact():
-    rng = np.random.default_rng(12)
-    frame = HandFrame(0.7312498, "left", rng.normal(0.0, 0.2, (25, 3)), grip=True)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    joints=arrays(np.float64, (25, 3), elements=_finite),
+    timestamp=_finite,
+    side=st.sampled_from(["left", "right"]),
+    grip=st.sampled_from([None, True, False]),
+)
+def test_frame_line_round_trip_is_exact(joints, timestamp, side, grip):
+    # -0.0, subnormals and the largest finite floats included
+    frame = HandFrame(timestamp, side, joints, grip=grip)
     line = format_frame_line(frame)
     back = parse_frame_line(line, line_no=1)
-    assert back.timestamp == frame.timestamp
-    assert back.side == frame.side
-    assert back.grip is True
-    assert np.array_equal(back.joints, frame.joints)
+    assert struct.pack("<d", back.timestamp) == struct.pack("<d", frame.timestamp)
+    assert (back.side, back.grip) == (side, grip)
+    assert back.joints.dtype == np.float64
+    assert back.joints.tobytes() == frame.joints.tobytes()
     # and a second serialization is byte-identical
     assert format_frame_line(back) == line
 
@@ -127,6 +141,35 @@ def test_frame_line_rejects_an_over_large_integer(field, digits, expected):
     assert (err.value.line_no, err.value.field) == (4, expected)
 
 
+@pytest.mark.parametrize("value", ['"0.5"', '"1_0"', '" 1"', '"x"', "true"])
+def test_frame_line_rejects_a_string_or_boolean_timestamp(value):
+    line = format_frame_line(HandFrame(0.5, "right", np.zeros((25, 3))))
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(line.replace('"t":0.5', f'"t":{value}'), line_no=4)
+    assert (str(err.value), err.value.line_no, err.value.field) == (
+        "field 't' must be a number", 4, "t"
+    )
+
+
+@pytest.mark.parametrize("value", ['"0.5"', '"1_0"', '" 1"'])
+def test_frame_line_rejects_a_numeric_string_joint_component(value):
+    record = json.loads(format_frame_line(HandFrame(0.5, "right", np.zeros((25, 3)))))
+    record["joints"][13][2] = "STRING"
+    line = json.dumps(record).replace('"STRING"', value)
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(line, line_no=4)
+    assert not isinstance(err.value, CountError)
+    assert (err.value.line_no, err.value.field) == (4, "joints[13]")
+
+
+def test_frame_line_booleans_among_joint_components_read_as_zero_and_one():
+    record = json.loads(format_frame_line(HandFrame(0.5, "right", np.full((25, 3), 0.5))))
+    record["joints"][2] = [True, False, 0.5]
+    assert parse_frame_line(json.dumps(record)).joints[2].tolist() == [1.0, 0.0, 0.5]
+    record["joints"] = [[True, False, True]] * 25
+    assert parse_frame_line(json.dumps(record)).joints.tolist() == [[1.0, 0.0, 1.0]] * 25
+
+
 def test_frame_line_unknown_field_warns_but_parses():
     base = format_frame_line(HandFrame(0.25, "right", np.zeros((25, 3))))
     line = base[:-1] + ', "confidence": 0.9}'
@@ -135,6 +178,160 @@ def test_frame_line_unknown_field_warns_but_parses():
     assert frame.timestamp == 0.25
     assert len(warnings) == 1
     assert "confidence" in warnings[0]
+
+
+# The per-joint parser that the bulk conversion replaced, with floats read
+# the way the product reads them now: a string is never a number, nor is a
+# boolean timestamp. The product must agree with it on every input.
+
+
+def _reference_number(value) -> float:
+    if isinstance(value, str):
+        raise TypeError
+    return float(value)
+
+
+def _reference_parse(text: str, line_no: int, on_warning) -> HandFrame:
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no, field="json") from exc
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line_no=line_no, field="json") from exc
+    if not isinstance(record, dict):
+        raise ParseError("frame record must be an object", line_no=line_no, field="json")
+    for key in record:
+        if key not in {"t", "hand", "joints", "grip"}:
+            on_warning(f"line {line_no}: ignoring unknown field {key!r}")
+    try:
+        if isinstance(record["t"], bool):
+            raise TypeError
+        timestamp = _reference_number(record["t"])
+    except KeyError:
+        raise ParseError("missing field 't'", line_no=line_no, field="t") from None
+    except (TypeError, ValueError):
+        raise ParseError("field 't' must be a number", line_no=line_no, field="t") from None
+    except OverflowError:
+        raise ParseError("field 't' is out of range", line_no=line_no, field="t") from None
+    if not math.isfinite(timestamp):
+        raise ParseError(f"field 't' must be finite, got {timestamp!r}", line_no=line_no, field="t")
+    side = record.get("hand")
+    if side not in ("left", "right"):
+        raise ParseError(f"field 'hand' must be left|right, got {side!r}", line_no=line_no, field="hand")
+    joints_raw = record.get("joints")
+    if not isinstance(joints_raw, list):
+        raise ParseError("field 'joints' must be a list", line_no=line_no, field="joints")
+    if len(joints_raw) != 25:
+        raise CountError(f"expected 25 joints, got {len(joints_raw)}", line_no=line_no, field="joints")
+    joints = np.empty((25, 3), dtype=np.float64)
+    for i, entry in enumerate(joints_raw):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise CountError(f"joint {i} must be [x, y, z]", line_no=line_no, field=f"joints[{i}]")
+        try:
+            joints[i] = [_reference_number(v) for v in entry]
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"joint {i} has a non-numeric component", line_no=line_no, field=f"joints[{i}]"
+            ) from None
+        except OverflowError:
+            raise ParseError(
+                f"joint {i} has an out-of-range component", line_no=line_no, field=f"joints[{i}]"
+            ) from None
+    finite = np.isfinite(joints)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ParseError(f"joint {i} has a non-finite component", line_no=line_no, field=f"joints[{i}]")
+    grip_raw = record.get("grip")
+    if grip_raw is None:
+        grip = None
+    elif isinstance(grip_raw, bool):
+        grip = grip_raw
+    elif grip_raw in (0, 1):
+        grip = bool(grip_raw)
+    else:
+        raise ParseError(f"field 'grip' must be 0|1, got {grip_raw!r}", line_no=line_no, field="grip")
+    return HandFrame(timestamp=timestamp, side=side, joints=joints, grip=grip)
+
+
+# JSON number and non-number tokens that a tracker, a script or a hand
+# edit could put where a coordinate belongs
+_ODD_TOKENS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),  # past int64 and uint64 both ways
+    st.sampled_from(
+        [
+            "0", "-0", "-0.0", "5e-324", "1.7976931348623157e308", "1E3", "2.5e-3",
+            "9007199254740993", "9223372036854775807", "9223372036854775808",
+            "-9223372036854775809", "18446744073709551621", "1" + "0" * 400,
+            "1e999", "-1e999", "NaN", "Infinity", "-Infinity",
+            "true", "false", "null", '"0.5"', '"1_0"', '" 1"', '"x"', "{}",
+            "[]", "[1.0]", "[1.0,2.0,3.0]", "[[1.0,2.0,3.0]]",
+        ]
+    ),
+)
+_COMPONENT = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), _ODD_TOKENS)
+_ROW_EDITS = st.sampled_from(["short", "long", "nested", "scalar", "null", "empty", "string"])
+
+
+@st.composite
+def _frame_texts(draw) -> str:
+    def rarely() -> bool:
+        return draw(st.integers(0, 7)) == 7
+
+    rows = [[repr(float(v)) for v in row] for row in draw(arrays(np.float64, (25, 3), elements=_finite))]
+    for _ in range(draw(st.integers(0, 3))):  # odd components
+        row = rows[draw(st.integers(0, 24))]
+        row[draw(st.integers(0, 2))] = draw(_COMPONENT)
+    if rarely():  # an odd row
+        i, edit = draw(st.integers(0, 24)), draw(_ROW_EDITS)
+        rows[i] = {
+            "short": rows[i][:2],
+            "long": rows[i] + ["0.0"],
+            "nested": ["[" + ",".join(rows[i]) + "]", "0.0", "0.0"],
+            "scalar": "0.5",
+            "null": "null",
+            "empty": [],
+            "string": '"0,0,0"',
+        }[edit]
+    if rarely():
+        rows = rows[:24] if draw(st.booleans()) else rows + [["0.0", "0.0", "0.0"]]
+    if rarely():  # every component nested alike: a regular (25, 3, 1) array
+        rows = [[f"[{v}]" for v in row] if isinstance(row, list) else row for row in rows]
+    space = draw(st.sampled_from(["", " ", "\n  "]))
+    joints = (
+        "["
+        + ("," + space).join(
+            row if isinstance(row, str) else "[" + ("," + space).join(row) + "]" for row in rows
+        )
+        + "]"
+    )
+    fields = [
+        ("t", draw(_ODD_TOKENS) if rarely() else repr(draw(_finite))),
+        ("hand", draw(st.sampled_from(['"both"', "null"])) if rarely() else draw(st.sampled_from(['"right"', '"left"']))),
+        ("joints", joints),
+    ]
+    grip = draw(st.sampled_from([None, "0", "1", "true", "false", "2", "null", "0.0"]))
+    if grip is not None:
+        fields.append(("grip", grip))
+    if draw(st.booleans()):
+        fields.append(("confidence", "0.9"))
+    fields = draw(st.permutations(fields))
+    return "{" + ("," + space).join(f'"{key}":{space}{value}' for key, value in fields) + "}"
+
+
+def _outcome(parse, text: str):
+    warnings: list[str] = []
+    try:
+        frame = parse(text, 7, warnings.append)
+    except ParseError as exc:
+        return ("raised", type(exc), str(exc), exc.line_no, exc.field, warnings)
+    stamp = struct.pack("<d", frame.timestamp)
+    return ("parsed", stamp, frame.side, frame.grip, frame.joints.tobytes(), warnings)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_frame_texts())
+def test_frame_line_matches_the_per_joint_reference_parser(text):
+    assert _outcome(parse_frame_line, text) == _outcome(_reference_parse, text)
 
 
 def test_frames_file_round_trip(tmp_path):
