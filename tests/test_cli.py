@@ -21,7 +21,7 @@ import pytest
 
 from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
-from handgrasp.sim import run_replay
+from handgrasp.sim import TECHNIQUES, run_replay
 from handgrasp.streams import (
     format_frame_line,
     load_template,
@@ -193,6 +193,30 @@ def test_simulate_reproduces_golden_results(tmp_path, custom_stream):
     event_lines = events.read_text().splitlines()
     assert sum(1 for line in event_lines if line.startswith("grab ")) == 24
     assert sum(1 for line in event_lines if line.startswith("placed ")) == 24
+
+
+@pytest.fixture(scope="module")
+def protocol_streams(tmp_path_factory, custom_stream) -> dict[str, Path]:
+    """A clean full-protocol run for every technique, as files."""
+    scene, _ = load_scene(SCENE)
+    directory = tmp_path_factory.mktemp("protocol-streams")
+    streams = {"custom": custom_stream}
+    for technique in TECHNIQUES:
+        if technique not in streams:
+            streams[technique] = directory / f"{technique}.frames"
+            write_frames(streams[technique], script_protocol_run(scene, technique))
+    return streams
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_simulate_matches_golden_results_and_events(tmp_path, protocol_streams, technique):
+    out = tmp_path / "results.csv"
+    events = tmp_path / "events.log"
+    result = _run("simulate", "--in", str(protocol_streams[technique]), "--scene", str(SCENE),
+                  "--technique", technique, "--out", str(out), "--events", str(events))
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (GOLDEN / f"results_{technique}.csv").read_bytes()
+    assert events.read_bytes() == (GOLDEN / f"events_{technique}.log").read_bytes()
 
 
 def _numpy_uses_openblas() -> bool:
