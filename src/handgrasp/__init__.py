@@ -22,7 +22,6 @@ from .hand import (
     RigidTransform,
     canonicalize,
     hand_scale,
-    palm_center,
     palm_frame,
 )
 from .engine import (

@@ -2,18 +2,23 @@
 
 Recognition is distance-based: a live canonical hand matches a stored
 template when the summed per-joint Euclidean distance stays within the
-template's budget (default 0.05 m, boundary inclusive). Matching is
-hover-gated: only templates attached to currently hovered objects are
-ever evaluated. Authoring a template is a hold gesture: keep the hand
-still near the target object for a fixed duration and the pose at the
-completing frame becomes the template.
+template's budget (default 0.05 m, boundary inclusive). One broadcasting
+kernel computes that sum, for one template (`pose_distance`,
+`match_score`) or a stack of them (`recognize`), with the same bits.
+Matching is hover-gated: only templates attached to currently hovered
+objects are ever evaluated. Authoring a template is a hold gesture: keep
+the hand still near the target object for a fixed duration and the pose
+at the completing frame becomes the template.
+
+`GrabTracker` is the one model of a held object, for every technique: it
+carries the object on the palm and applies a per-frame grab or release
+intent. `TemplateIntent` decides that intent for the template techniques.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,45 +67,24 @@ class GestureTemplate:
         object.__setattr__(self, "joints_local", joints)
 
 
+def _distance_sums(current: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """Summed per-joint Euclidean distance to a (25, 3) template, or to each of (n, 25, 3).
+
+    The one scoring kernel: a template scores the same bits alone as in a stack.
+    """
+    diff = current - templates
+    return np.sqrt((diff * diff).sum(axis=-1)).sum(axis=-1)
+
+
 def pose_distance(current: CanonicalHand, template: GestureTemplate) -> float:
     """Summed Euclidean distance over all 25 joints."""
-    diff = current.joints_local - template.joints_local
-    return float(np.sqrt((diff * diff).sum(axis=1)).sum())
+    return float(_distance_sums(current.joints_local, template.joints_local))
 
 
 def match_score(current: CanonicalHand, template: GestureTemplate) -> float | None:
-    """Distance if the template matches, else None.
-
-    Scalar evaluation with early exit: a single joint farther than the
-    whole budget, or a running sum past the budget, already decides the
-    outcome, so the loop stops there. Decisions are identical to the
-    full-sum test.
-    """
-    budget = template.threshold_sum
-    cur = current.joints_local
-    ref = template.joints_local
-    dists = np.empty(JOINT_COUNT)
-    total = 0.0
-    # The sequential running total can sit a few ulp above the pairwise
-    # aggregate that pose_distance computes, so the running-sum exit
-    # keeps a slack margin and borderline completions re-aggregate the
-    # same way pose_distance does. A single joint past the budget is
-    # always safe to discard: no float summation of nonnegative terms
-    # lands below one of its terms.
-    slack = budget + 1e-9
-    for j in range(JOINT_COUNT):
-        dx = cur[j, 0] - ref[j, 0]
-        dy = cur[j, 1] - ref[j, 1]
-        dz = cur[j, 2] - ref[j, 2]
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if dist > budget:
-            return None
-        total += dist
-        if total > slack:
-            return None
-        dists[j] = dist
-    score = float(dists.sum())
-    return score if score <= budget else None
+    """Distance if the template matches (within its budget, inclusive), else None."""
+    score = pose_distance(current, template)
+    return score if score <= template.threshold_sum else None
 
 
 class TemplateStore:
@@ -131,13 +115,6 @@ class TemplateStore:
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._templates))
-
-    def by_object(self, object_id: str) -> tuple[GestureTemplate, ...]:
-        return tuple(
-            self._templates[name]
-            for name in sorted(self._templates)
-            if self._templates[name].object_id == object_id
-        )
 
     def stack(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(joints (n,25,3), budgets (n,)) for the given names, cached."""
@@ -177,9 +154,6 @@ class ContextRegistry:
 
     def is_registered(self, object_id: str) -> bool:
         return object_id in self._by_object
-
-    def hovered_objects(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_object))
 
     def registered_gestures(self) -> tuple[str, ...]:
         if self._active is None:
@@ -252,9 +226,7 @@ def recognize(
     if not names:
         return None
     joints, budgets = store.stack(names)
-    diff = current.joints_local[np.newaxis, :, :] - joints
-    dists = np.sqrt((diff * diff).sum(axis=2))
-    sums = dists.sum(axis=1)
+    sums = _distance_sums(current.joints_local, joints)
     matched = sums <= budgets  # any single joint past the budget implies sum > budget
     if not matched.any():
         return None
@@ -389,15 +361,64 @@ class GrabEvent:
     timestamp: float
 
 
-class GrabTracker:
-    """Grab/release state machine for template-driven techniques.
+RELEASE = "release"  # the intent that lets go of the held object
 
-    A grab starts at the first grab-role match on a hovered object and
-    pins the object to the palm via a fixed rigid offset. Release is
-    either `deviation` (the grabbing pose drifts past factor * budget
-    for a full dwell) or `template` (a release-role template on the
-    grabbed object matches; the closest match wins, so a partially
-    open hand beats a fully open one when both fit).
+
+class GrabTracker:
+    """The object the hand holds, whichever technique grabbed it.
+
+    `step` runs on every frame. It first carries the held object on that
+    frame's palm transform through the rigid offset taken at the grab, then
+    applies the technique's intent: a `Match` grabs its object when nothing
+    is held (the object stays exactly where it is), `RELEASE` lets go of the
+    held one. Any other intent, or one that does not fit, changes nothing.
+    `grabbing_gesture` and `grab_time` describe the latest grab and outlive
+    its release, so a trial can be timed from the release.
+    """
+
+    def __init__(self):
+        self.grabbed_object: str | None = None
+        self.grabbing_gesture: str | None = None
+        self.grab_time: float | None = None
+        self._offset: RigidTransform | None = None
+
+    @property
+    def grabbed(self) -> bool:
+        return self.grabbed_object is not None
+
+    def step(
+        self,
+        timestamp: float,
+        palm: RigidTransform,
+        object_poses: dict[str, RigidTransform],
+        intent: Match | str | None,
+    ) -> GrabEvent | None:
+        """Advance one frame; the held object is repositioned in `object_poses`."""
+        if self.grabbed_object is not None:
+            object_poses[self.grabbed_object] = palm.compose(self._offset)
+            if intent != RELEASE:
+                return None
+            event = GrabEvent("release", self.grabbed_object, self.grabbing_gesture, 0.0, timestamp)
+            self.grabbed_object = None
+            self._offset = None
+            return event
+        if not isinstance(intent, Match):
+            return None
+        self.grabbed_object = intent.object_id
+        self.grabbing_gesture = intent.gesture
+        self.grab_time = timestamp
+        self._offset = palm.inverse().compose(object_poses[intent.object_id])
+        return GrabEvent("grab", intent.object_id, intent.gesture, intent.score, timestamp)
+
+
+class TemplateIntent:
+    """Grab and release intent of the template techniques, from the canonical hand.
+
+    With nothing held the intent is the best grab-role match on a hovered
+    object. With an object held it is `RELEASE` when the release policy says
+    so: `template` when a release-role template on the held object matches
+    (so a partially open hand lets go), `deviation` when the grabbing pose
+    has drifted past factor * budget for a full dwell.
     """
 
     def __init__(
@@ -413,82 +434,29 @@ class GrabTracker:
         self.release_policy = release_policy
         self.release_factor = release_factor
         self.release_dwell = release_dwell
-        self.grabbed_object: str | None = None
-        self.grabbing_gesture: str | None = None
-        self.grab_time: float | None = None
-        self._offset: RigidTransform | None = None
         self._deviation_since: float | None = None
 
-    @property
-    def grabbed(self) -> bool:
-        return self.grabbed_object is not None
-
-    def step(
+    def decide(
         self,
-        frame: HandFrame,
+        tracker: GrabTracker,
+        timestamp: float,
         current: CanonicalHand,
         registry: ContextRegistry,
-        object_poses: dict[str, RigidTransform],
-    ) -> list[GrabEvent]:
-        """Advance one frame; grabbed objects are repositioned in place.
-
-        `current` must come from `canonicalize(frame)`: its palm transform
-        carries the grabbed object, so the palm basis is computed once.
-        """
-        palm = current.palm
-        if palm is None:
-            raise InvalidArgument("GrabTracker.step needs the hand canonicalize(frame) returns")
-        events: list[GrabEvent] = []
-        if not self.grabbed:
-            match = recognize(current, registry, self.store, role=ROLE_GRAB)
-            if match is not None:
-                self.grabbed_object = match.object_id
-                self.grabbing_gesture = match.gesture
-                self.grab_time = frame.timestamp
-                self._offset = palm.inverse().compose(object_poses[match.object_id])
-                self._deviation_since = None
-                events.append(
-                    GrabEvent("grab", match.object_id, match.gesture, match.score, frame.timestamp)
-                )
-            return events
-
-        object_poses[self.grabbed_object] = palm.compose(self._offset)
-        if self._should_release(frame, current, registry):
-            events.append(
-                GrabEvent(
-                    "release",
-                    self.grabbed_object,
-                    self.grabbing_gesture,
-                    0.0,
-                    frame.timestamp,
-                )
-            )
-            self.grabbed_object = None
-            self.grabbing_gesture = None
-            self.grab_time = None
-            self._offset = None
+    ) -> Match | str | None:
+        if not tracker.grabbed:
             self._deviation_since = None
-        return events
-
-    def _should_release(
-        self, frame: HandFrame, current: CanonicalHand, registry: ContextRegistry
-    ) -> bool:
+            return recognize(current, registry, self.store, role=ROLE_GRAB)
         if self.release_policy == "template":
             match = recognize(
-                current,
-                registry,
-                self.store,
-                role=ROLE_RELEASE,
-                object_id=self.grabbed_object,
+                current, registry, self.store, role=ROLE_RELEASE, object_id=tracker.grabbed_object
             )
-            return match is not None
-        template = self.store.get(self.grabbing_gesture)
-        score = pose_distance(current, template)
-        if score > self.release_factor * template.threshold_sum:
+            return RELEASE if match is not None else None
+        template = self.store.get(tracker.grabbing_gesture)
+        if pose_distance(current, template) > self.release_factor * template.threshold_sum:
             if self._deviation_since is None:
-                self._deviation_since = frame.timestamp
-            elif frame.timestamp - self._deviation_since >= self.release_dwell:
-                return True
+                self._deviation_since = timestamp
+            elif timestamp - self._deviation_since >= self.release_dwell:
+                return RELEASE
         else:
             self._deviation_since = None
-        return False
+        return None

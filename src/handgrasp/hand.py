@@ -66,13 +66,6 @@ FINGERTIPS = (
     JointId.PINKY_TIP,
 )
 
-KNUCKLES = (
-    JointId.INDEX_PROXIMAL,
-    JointId.MIDDLE_PROXIMAL,
-    JointId.RING_PROXIMAL,
-    JointId.PINKY_PROXIMAL,
-)
-
 
 def vector_length(v: np.ndarray) -> float:
     """Euclidean length of a 3-vector, squares summed left to right.
@@ -215,8 +208,3 @@ def canonicalize(frame: HandFrame) -> CanonicalHand:
         local[:, 1] = -local[:, 1]
     return CanonicalHand(joints_local=local, scale=scale, palm=palm)
 
-
-def palm_center(frame: HandFrame) -> np.ndarray:
-    """Centroid of the wrist and the four finger knuckles, world space."""
-    ids = (JointId.WRIST,) + KNUCKLES
-    return frame.joints[list(ids)].mean(axis=0)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .engine import DISTANCE_BUDGET, HOVER_RADIUS, RELEASE_DWELL, RELEASE_FACTOR, TemplateStore
 from .errors import ParseError
-from .hand import vector_length
 from .streams import load_template
 
 TARGET_DIAMETER = 0.5  # meters
@@ -51,9 +50,6 @@ class TargetSphere:
     @property
     def radius(self) -> float:
         return self.diameter / 2.0
-
-    def contains(self, point: np.ndarray) -> bool:
-        return vector_length(np.asarray(point) - self.center) <= self.radius
 
 
 @dataclass(frozen=True)

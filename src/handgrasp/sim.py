@@ -6,9 +6,13 @@ grabs and releases, pinch edges, and trial outcomes. The same
 SessionEngine backs the in-process replay API, the CLI, and the TCP
 service, so all three produce byte-identical logs for the same input.
 
-Techniques:
-  controller  grip bit edges grab/release the hovered object
-  pinch       debounced thumb-index pinch grabs/releases
+Every frame computes its palm transform once, before any state changes,
+so a degenerate skeleton is rejected without side effects. One GrabTracker
+holds the grabbed object under every technique: each frame it carries the
+held object on the palm, then applies the technique's intent. Only the
+code that decides the intent differs:
+  controller  grip bit edges grab the nearest hovered object / release
+  pinch       debounced thumb-index pinch edges grab the nearest / release
   grab        generic grab template, released by release-role templates
   custom      per-object authored templates, released by pose deviation
 
@@ -25,8 +29,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import (
+    RELEASE,
     ContextRegistry,
     GrabTracker,
+    Match,
+    TemplateIntent,
     TemplateStore,
     hover_update,
     surface_distance,
@@ -148,23 +155,19 @@ class SessionEngine:
             for obj in scene.objects
         }
 
-        self._tracker: GrabTracker | None = None
+        self._tracker = GrabTracker()
+        self._templates: TemplateIntent | None = None
         self._pinch: PinchState | None = None
         if technique in ("grab", "custom"):
-            policy = "template" if technique == "grab" else "deviation"
-            self._tracker = GrabTracker(
+            self._templates = TemplateIntent(
                 store,
-                release_policy=policy,
+                release_policy="template" if technique == "grab" else "deviation",
                 release_factor=scene.release.factor,
                 release_dwell=scene.release.dwell,
             )
         elif technique == "pinch":
             self._pinch = PinchState()
         self._grip_was = False
-        # direct attachment state for pinch/controller grabs
-        self._held_object: str | None = None
-        self._held_offset: RigidTransform | None = None
-        self._grab_time: float | None = None
 
         self._protocol = scene.protocol
         if self._protocol is not None:
@@ -208,7 +211,7 @@ class SessionEngine:
                 technique=self.technique,
                 object_id=object_id,
                 accuracy=accuracy,
-                tct=timestamp - self._grab_time,
+                tct=timestamp - self._tracker.grab_time,
                 dropped=dropped,
                 band=band,
             )
@@ -229,8 +232,9 @@ class SessionEngine:
     def feed(self, frame: HandFrame) -> list[str]:
         """Advance one frame; returns the event lines it produced.
 
-        Raises TimeOrderError, before any state changes, for a frame
-        stamped earlier than the one fed before it; equal stamps are fine.
+        Raises TimeOrderError for a frame stamped earlier than the one fed
+        before it (equal stamps are fine), and DegenerateHand for a skeleton
+        without a palm basis, both before any state changes.
         """
         if self.finished:
             raise ProtocolViolation("frame arrived after the run finished")
@@ -239,6 +243,12 @@ class SessionEngine:
                 f"frame time {frame.timestamp!r} is earlier than the previous "
                 f"frame's {self._last_time!r}"
             )
+        if self._templates is not None:
+            hand = canonicalize(frame)
+            palm = hand.palm
+        else:
+            hand = None
+            palm = palm_frame(frame)
         self._last_time = frame.timestamp
         if (
             self._protocol is not None
@@ -252,61 +262,44 @@ class SessionEngine:
         for event in hover_update(frame, present, self.registry):
             lines.append(f"{event.kind} {event.object_id} {_fmt(event.timestamp)}")
 
-        if self._tracker is not None:
-            lines.extend(self._feed_tracker(frame))
+        if self._templates is not None:
+            intent = self._templates.decide(self._tracker, frame.timestamp, hand, self.registry)
         elif self._pinch is not None:
-            lines.extend(self._feed_pinch(frame))
+            intent = self._pinch_intent(frame, lines)
         else:
-            lines.extend(self._feed_controller(frame))
+            intent = self._grip_intent(frame)
+        event = self._tracker.step(frame.timestamp, palm, self.object_poses, intent)
+        if event is None:
+            return lines
+        if event.kind == "grab":
+            lines.append(
+                f"grab {event.object_id} {event.gesture} {_fmt(event.score)} "
+                f"{_fmt(event.timestamp)}"
+            )
+        else:
+            lines.append(f"release {event.object_id} {_fmt(event.timestamp)}")
+            if self._protocol is not None:
+                lines.extend(self._finish_trial(event.object_id, event.timestamp))
         return lines
 
-    def _feed_tracker(self, frame: HandFrame) -> list[str]:
-        lines: list[str] = []
-        canonical = canonicalize(frame)
-        for event in self._tracker.step(frame, canonical, self.registry, self.object_poses):
-            if event.kind == "grab":
-                self._grab_time = event.timestamp
-                lines.append(
-                    f"grab {event.object_id} {event.gesture} {_fmt(event.score)} "
-                    f"{_fmt(event.timestamp)}"
-                )
-            else:
-                lines.append(f"release {event.object_id} {_fmt(event.timestamp)}")
-                if self._protocol is not None:
-                    lines.extend(self._finish_trial(event.object_id, event.timestamp))
-        return lines
-
-    def _feed_pinch(self, frame: HandFrame) -> list[str]:
-        lines: list[str] = []
-        self._update_held(frame)
+    def _pinch_intent(self, frame: HandFrame, lines: list[str]) -> Match | str | None:
         event = self._pinch.update(frame)
-        if event is not None:
-            lines.append(f"{event.kind} {_fmt(event.timestamp)}")
-            if event.kind == "pinch-start" and self._held_object is None:
-                lines.extend(self._direct_grab(frame, "pinch"))
-            elif event.kind == "pinch-end" and self._held_object is not None:
-                lines.extend(self._direct_release(frame))
-        return lines
+        if event is None:
+            return None
+        lines.append(f"{event.kind} {_fmt(event.timestamp)}")
+        return self._nearest_hovered(frame, "pinch") if event.kind == "pinch-start" else RELEASE
 
-    def _feed_controller(self, frame: HandFrame) -> list[str]:
-        lines: list[str] = []
-        self._update_held(frame)
-        grip = bool(frame.grip) if frame.grip is not None else False
+    def _grip_intent(self, frame: HandFrame) -> Match | str | None:
+        grip = bool(frame.grip)
         rising = grip and not self._grip_was
         falling = self._grip_was and not grip
         self._grip_was = grip
-        if rising and self._held_object is None:
-            lines.extend(self._direct_grab(frame, "grip"))
-        elif falling and self._held_object is not None:
-            lines.extend(self._direct_release(frame))
-        return lines
+        if rising:
+            return self._nearest_hovered(frame, "grip")
+        return RELEASE if falling else None
 
-    def _update_held(self, frame: HandFrame) -> None:
-        if self._held_object is not None:
-            palm = palm_frame(frame)
-            self.object_poses[self._held_object] = palm.compose(self._held_offset)
-
-    def _nearest_hovered(self, frame: HandFrame) -> SceneObject | None:
+    def _nearest_hovered(self, frame: HandFrame, label: str) -> Match | None:
+        """A direct grab of the hovered object nearest the hand, scored 0."""
         hovered = [
             obj
             for obj in self._present_objects()
@@ -316,27 +309,7 @@ class SessionEngine:
             return None
         # ties resolved by object id through the stable sort
         hovered.sort(key=lambda obj: (surface_distance(frame, obj), obj.object_id))
-        return hovered[0]
-
-    def _direct_grab(self, frame: HandFrame, label: str) -> list[str]:
-        obj = self._nearest_hovered(frame)
-        if obj is None:
-            return []
-        palm = palm_frame(frame)
-        self._held_object = obj.object_id
-        self._held_offset = palm.inverse().compose(self.object_poses[obj.object_id])
-        self._grab_time = frame.timestamp
-        self.object_poses[obj.object_id] = palm.compose(self._held_offset)
-        return [f"grab {obj.object_id} {label} {_fmt(0.0)} {_fmt(frame.timestamp)}"]
-
-    def _direct_release(self, frame: HandFrame) -> list[str]:
-        object_id = self._held_object
-        self._held_object = None
-        self._held_offset = None
-        lines = [f"release {object_id} {_fmt(frame.timestamp)}"]
-        if self._protocol is not None:
-            lines.extend(self._finish_trial(object_id, frame.timestamp))
-        return lines
+        return Match(label, hovered[0].object_id, 0.0)
 
     def summary(self) -> RunSummary:
         return summarize(self.results, self.technique)

@@ -8,11 +8,14 @@ import pytest
 from handgrasp.engine import (
     DISTANCE_BUDGET,
     HOVER_RADIUS,
+    RELEASE,
     CaptureSession,
     ContextRegistry,
     GestureTemplate,
     GrabTracker,
+    Match,
     StillnessWindow,
+    TemplateIntent,
     TemplateStore,
     hover_update,
     match_score,
@@ -28,6 +31,7 @@ from handgrasp.hand import (
     JointId,
     RigidTransform,
     canonicalize,
+    palm_frame,
 )
 from handgrasp.scene import SceneObject
 from handgrasp.streams import ScriptBuilder, keypose, pose_frame
@@ -183,7 +187,7 @@ def test_template_store_rejects_duplicate_names():
         store.add(_fist_template("same"))
 
 
-# ── early-exit route ─────────────────────────────────────────────────────
+# ── match_score view ─────────────────────────────────────────────────────
 
 
 def test_match_score_agrees_at_exact_boundary():
@@ -267,13 +271,21 @@ def test_hover_is_edge_triggered():
     assert len(events) == 1
 
 
+def _step(intent: TemplateIntent, tracker: GrabTracker, frame: HandFrame, registry, poses):
+    """One template-technique frame: decide the intent, then let the tracker apply it."""
+    hand = canonicalize(frame)
+    decided = intent.decide(tracker, frame.timestamp, hand, registry)
+    event = tracker.step(frame.timestamp, hand.palm, poses, decided)
+    return [] if event is None else [event]
+
+
 def test_no_grab_without_hover():
     rng = np.random.default_rng(1234)
     store = TemplateStore()
     template = _fist_template("fist-g", "ghost")
     store.add(template)
     registry = ContextRegistry()  # ghost never hovered
-    tracker = GrabTracker(store)
+    intent, tracker = TemplateIntent(store), GrabTracker()
     poses = {"ghost": RigidTransform(np.eye(3), np.zeros(3))}
     t = 0.0
     for _ in range(200):
@@ -283,8 +295,7 @@ def test_no_grab_without_hover():
         else:
             joints = random_pose_joints(rng)
         frame = HandFrame(t, "right", joints)
-        events = tracker.step(frame, canonicalize(frame), registry, poses)
-        assert events == []
+        assert _step(intent, tracker, frame, registry, poses) == []
         t += 1.0 / 90.0
     assert not tracker.grabbed
 
@@ -456,21 +467,19 @@ def _grab_setup(policy: str):
     registry = ContextRegistry()
     registry.register("cube", ("fist-g", "cube-release"))
     poses = {"cube": RigidTransform(np.eye(3), np.array([0.3, 0.0, 0.3]))}
-    return GrabTracker(store, release_policy=policy), registry, poses
+    return TemplateIntent(store, release_policy=policy), GrabTracker(), registry, poses
 
 
 def test_grab_rigid_attachment_zero_drift():
-    tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, registry, poses = _grab_setup("deviation")
     builder = ScriptBuilder(rate=90.0, start=(0.3, 0.0, 0.3))
     builder.hold(0.1, kind="fist")
     builder.move((0.0, 0.2, 0.6), 0.5, kind="fist")
     builder.hold(0.2)
     offsets = []
     for frame in builder.frames():
-        tracker.step(frame, canonicalize(frame), registry, poses)
+        _step(intent, tracker, frame, registry, poses)
         if tracker.grabbed:
-            from handgrasp.hand import palm_frame
-
             offsets.append(palm_frame(frame).inverse().apply(poses["cube"].translation))
     offsets = np.array(offsets)
     assert len(offsets) > 50
@@ -484,7 +493,7 @@ def _deviated(joints: np.ndarray, amount: float) -> np.ndarray:
 
 
 def test_deviation_release_after_dwell():
-    tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, registry, poses = _grab_setup("deviation")
     fist = keypose("fist") + np.array([0.3, 0.0, 0.3])
     events = []
     rate = 90.0
@@ -492,7 +501,7 @@ def test_deviation_release_after_dwell():
         t = i / rate
         joints = _deviated(fist, 0.09) if 0.5 <= t < 0.62 else fist.copy()
         frame = HandFrame(t, "right", joints)
-        events.extend(tracker.step(frame, canonicalize(frame), registry, poses))
+        events.extend(_step(intent, tracker, frame, registry, poses))
     kinds = [event.kind for event in events]
     # the hand returning to the grab pose afterwards may grab again;
     # the deviation burst itself must produce exactly one release
@@ -503,12 +512,12 @@ def test_deviation_release_after_dwell():
     # deviation of 0.09 is above the 1.5 x 0.05 release threshold
     assert pose_distance(
         canonicalize(HandFrame(0.0, "right", _deviated(fist, 0.09))),
-        tracker.store.get("fist-g"),
+        intent.store.get("fist-g"),
     ) == pytest.approx(0.09, abs=1e-9)
 
 
 def test_deviation_burst_below_dwell_never_releases():
-    tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, registry, poses = _grab_setup("deviation")
     fist = keypose("fist") + np.array([0.3, 0.0, 0.3])
     events = []
     rate = 90.0
@@ -517,13 +526,13 @@ def test_deviation_burst_below_dwell_never_releases():
         burst = (0.5 <= t < 0.58) or (1.0 <= t < 1.08) or (1.5 <= t < 1.58)
         joints = _deviated(fist, 0.09) if burst else fist.copy()
         frame = HandFrame(t, "right", joints)
-        events.extend(tracker.step(frame, canonicalize(frame), registry, poses))
+        events.extend(_step(intent, tracker, frame, registry, poses))
     assert [event.kind for event in events] == ["grab"]
     assert tracker.grabbed
 
 
 def test_template_release_fires_on_partial_open():
-    tracker, registry, poses = _grab_setup("template")
+    intent, tracker, registry, poses = _grab_setup("template")
     builder = ScriptBuilder(rate=90.0, start=(0.3, 0.0, 0.3))
     builder.hold(0.2, kind="fist")
     builder.hold(0.3)
@@ -531,16 +540,17 @@ def test_template_release_fires_on_partial_open():
     builder.hold(0.3)
     events = []
     for frame in builder.frames():
-        events.extend(tracker.step(frame, canonicalize(frame), registry, poses))
+        events.extend(_step(intent, tracker, frame, registry, poses))
     assert [event.kind for event in events] == ["grab", "release"]
     assert not tracker.grabbed
 
 
 def test_grab_records_offset_and_score():
-    tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, registry, poses = _grab_setup("deviation")
+    before = poses["cube"]
     fist = keypose("fist") + np.array([0.3, 0.0, 0.3])
     frame = HandFrame(0.0, "right", fist)
-    events = tracker.step(frame, canonicalize(frame), registry, poses)
+    events = _step(intent, tracker, frame, registry, poses)
     assert len(events) == 1
     grab = events[0]
     assert grab.kind == "grab"
@@ -548,12 +558,25 @@ def test_grab_records_offset_and_score():
     assert grab.gesture == "fist-g"
     assert grab.score == pytest.approx(0.0, abs=1e-12)
     assert tracker.grab_time == 0.0
+    # the grab frame leaves the object exactly where it was
+    assert poses["cube"] is before
 
 
-def test_tracker_needs_the_palm_that_canonicalize_returns():
-    tracker, registry, poses = _grab_setup("deviation")
-    frame = HandFrame(0.0, "right", keypose("fist") + np.array([0.3, 0.0, 0.3]))
-    bare = CanonicalHand(canonicalize(frame).joints_local, 1.0)
+def test_tracker_applies_only_the_intent_that_fits():
+    poses = {"cube": RigidTransform(np.eye(3), np.array([0.3, 0.0, 0.3]))}
+    palm = RigidTransform(np.eye(3), np.array([0.3, 0.0, 0.2]))
+    tracker = GrabTracker()
+    assert tracker.step(0.0, palm, poses, RELEASE) is None  # nothing held to release
+    grab = tracker.step(0.1, palm, poses, Match("grip", "cube", 0.0))
+    assert (grab.kind, grab.object_id, grab.gesture, tracker.grab_time) == ("grab", "cube", "grip", 0.1)
+    moved = RigidTransform(np.eye(3), np.array([0.5, 0.0, 0.2]))
+    assert tracker.step(0.2, moved, poses, Match("grip", "cube", 0.0)) is None  # already held
+    assert np.array_equal(poses["cube"].translation, [0.5, 0.0, 0.3])  # carried all the same
+    release = tracker.step(0.3, moved, poses, RELEASE)
+    assert (release.kind, release.object_id, release.timestamp) == ("release", "cube", 0.3)
+    assert not tracker.grabbed and tracker.grab_time == 0.1
+
+
+def test_template_intent_rejects_unknown_release_policy():
     with pytest.raises(InvalidArgument):
-        tracker.step(frame, bare, registry, poses)
-    assert not tracker.grabbed
+        TemplateIntent(TemplateStore(), release_policy="shake")

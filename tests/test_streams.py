@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from handgrasp.engine import GestureTemplate, pose_distance
 from handgrasp.errors import CountError, ParseError
-from handgrasp.hand import HandFrame, JointId, canonicalize, palm_center, palm_frame
+from handgrasp.hand import HandFrame, JointId, canonicalize, palm_frame
 from handgrasp.pinch import PinchState
 from handgrasp.streams import (
     FIST_TIP_REACH,
@@ -422,7 +422,9 @@ def test_pinch_keypose_thumb_index_gap():
 
 def test_fist_keypose_fingertips_near_palm():
     frame = pose_frame("fist")
-    center = palm_center(frame)
+    # centroid of the wrist and the four finger knuckles
+    center = frame.joints[[JointId.WRIST, JointId.INDEX_PROXIMAL, JointId.MIDDLE_PROXIMAL,
+                           JointId.RING_PROXIMAL, JointId.PINKY_PROXIMAL]].mean(axis=0)
     tips = frame.joints[[JointId.THUMB_TIP, JointId.INDEX_TIP, JointId.MIDDLE_TIP,
                          JointId.RING_TIP, JointId.PINKY_TIP]]
     reach = np.linalg.norm(tips - center, axis=1)
