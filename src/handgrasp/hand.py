@@ -207,4 +207,3 @@ def canonicalize(frame: HandFrame) -> CanonicalHand:
         local = local.copy()
         local[:, 1] = -local[:, 1]
     return CanonicalHand(joints_local=local, scale=scale, palm=palm)
-

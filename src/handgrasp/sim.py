@@ -156,10 +156,10 @@ class SessionEngine:
         }
 
         self._tracker = GrabTracker()
-        self._templates: TemplateIntent | None = None
+        self._template_intent: TemplateIntent | None = None
         self._pinch: PinchState | None = None
         if technique in ("grab", "custom"):
-            self._templates = TemplateIntent(
+            self._template_intent = TemplateIntent(
                 store,
                 release_policy="template" if technique == "grab" else "deviation",
                 release_factor=scene.release.factor,
@@ -243,7 +243,7 @@ class SessionEngine:
                 f"frame time {frame.timestamp!r} is earlier than the previous "
                 f"frame's {self._last_time!r}"
             )
-        if self._templates is not None:
+        if self._template_intent is not None:
             hand = canonicalize(frame)
             palm = hand.palm
         else:
@@ -262,8 +262,10 @@ class SessionEngine:
         for event in hover_update(frame, present, self.registry):
             lines.append(f"{event.kind} {event.object_id} {_fmt(event.timestamp)}")
 
-        if self._templates is not None:
-            intent = self._templates.decide(self._tracker, frame.timestamp, hand, self.registry)
+        if self._template_intent is not None:
+            intent = self._template_intent.decide(
+                self._tracker, frame.timestamp, hand, self.registry
+            )
         elif self._pinch is not None:
             intent = self._pinch_intent(frame, lines)
         else:

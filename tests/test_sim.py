@@ -187,8 +187,9 @@ def test_degenerate_frame_is_rejected_before_any_state_changes(demo, technique):
     engine = SessionEngine(scene, store, technique)
     lines = []
     for i, frame in enumerate(frames):
-        # before the grab edge, right after it, in transit, before the release
-        if i in (grab, grab + 1, (grab + release) // 2, release):
+        # before the hover edge, before the grab edge, right after it, in
+        # transit, before the release
+        if i in (1, grab, grab + 1, (grab + release) // 2, release):
             # all joints at one point: no palm; the stamp runs past the next
             # frame's, and the grip bit and the pinch gap flip, so any state
             # the rejected frame left behind shows in what follows
