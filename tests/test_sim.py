@@ -35,7 +35,6 @@ from handgrasp.sim import (
     run_replay,
     summarize,
 )
-from handgrasp.hand import HandFrame
 from handgrasp.streams import TrialResult, pose_frame
 
 TARGET = np.array([0.0, 0.2, 0.5])
@@ -195,7 +194,7 @@ def test_degenerate_frame_is_rejected_before_any_state_changes(demo, technique):
             # the rejected frame left behind shows in what follows
             grip = None if frames[i - 1].grip is None else not frames[i - 1].grip
             for at in (engine.object_poses[active].translation, np.array([5.0, 5.0, 5.0])):
-                bad = HandFrame(frame.timestamp + 0.5 / 90.0, "right", np.tile(at, (25, 1)), grip)
+                bad = hand.HandFrame(frame.timestamp + 0.5 / 90.0, "right", np.tile(at, (25, 1)), grip)
                 with pytest.raises(DegenerateHand):
                     engine.feed(bad)
         lines.extend(engine.feed(frame))
