@@ -6,6 +6,16 @@ without framing; floats round-trip exactly via repr. Templates
 (`.gesture`) are single JSON documents with an explicit format
 version. Trial results are plain CSV with a fixed header.
 
+Frame lines are read by two decoders. `orjson` decodes a line first,
+and when the field checks accept its record, that is the frame. When
+orjson refuses the line or a check fails, the standard `json` module
+decodes it again and the same checks run on its record, so json stays
+the grammar of record: every error and warning comes from its reading,
+and so does every value only json accepts (`NaN`, `Infinity`, `1e999`,
+integers too large for a float, lone-surrogate escapes). The two agree,
+bit for bit, on every record orjson's path accepts; a differential test
+holds the parser to a json-only reference.
+
 The synthetic side builds deterministic hand streams from a small set
 of parametric key poses. A ScriptBuilder strings together hold / move
 / morph segments into a timestamped stream, which is how test fixtures
@@ -23,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from .engine import DISTANCE_BUDGET, GestureTemplate
 from .errors import CountError, ParseError
@@ -34,6 +45,15 @@ TEMPLATE_FORMAT_VERSION = 1
 RESULTS_HEADER = ("technique", "object", "accuracy_m", "tct_s", "dropped", "band")
 
 _FRAME_FIELDS = {"t", "hand", "joints", "grip"}
+
+# orjson 3.8 has no nesting limit: it recurses on the C stack and crashes
+# the process on a line nested 100,000-300,000 deep on an 8 MiB stack,
+# fewer on a smaller one. A line this short nests at most 2,048 arrays or
+# 819 objects deep, which takes about as much stack as json takes at its
+# own recursion limit: both fit a 256 KiB thread stack, neither fits
+# 128 KiB. Longer lines go to json alone; `format_frame_line` writes at
+# most 1,990 characters.
+_ORJSON_MAX_CHARS = 4096
 
 
 # ── trial results ──────────────────────────────────────────────────────────
@@ -122,16 +142,47 @@ def parse_frame_line(
     """Parse one stream line into a HandFrame.
 
     Unknown fields are ignored through the warning channel (default:
-    module logger). Raises ParseError / CountError with the line number
-    and field on malformed input.
+    module logger), once per line. Raises ParseError / CountError with
+    the line number and field on malformed input.
     """
     warn = on_warning if on_warning is not None else logger.warning
+    if len(text) <= _ORJSON_MAX_CHARS:
+        warnings: list[str] = []
+        try:
+            record = orjson.loads(text)
+            frame = _frame_from_record(record, line_no, warnings.append)
+        # RecursionError: a check's message quoting a deeply nested value
+        except (orjson.JSONDecodeError, ParseError, RecursionError):
+            pass  # json reads the line again and reports the error
+        else:
+            if not warnings or _extras_are_scalars(record):
+                for message in warnings:
+                    warn(message)
+                return frame
+    return _frame_from_record(_json_record(text, line_no), line_no, warn)
+
+
+def _extras_are_scalars(record: dict) -> bool:
+    """True when no unknown field holds an array or an object: only then is
+    json sure to accept the line too, as orjson nests without limit."""
+    return not any(
+        isinstance(value, (list, dict)) for key, value in record.items() if key not in _FRAME_FIELDS
+    )
+
+
+def _json_record(text: str, line_no: int):
     try:
-        record = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no, field="json") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise ParseError(f"invalid JSON: {exc}", line_no=line_no, field="json") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line_no=line_no, field="json") from None
+
+
+def _frame_from_record(record, line_no: int, warn: Callable[[str], None]) -> HandFrame:
+    """Check a decoded frame record field by field and build its frame."""
     if not isinstance(record, dict):
         raise ParseError("frame record must be an object", line_no=line_no, field="json")
 
@@ -237,10 +288,14 @@ def write_frames(path: str | Path, frames: Iterable[HandFrame]) -> None:
 def read_frames(
     path: str | Path, on_warning: Callable[[str], None] | None = None
 ) -> Iterator[HandFrame]:
-    """Yield frames from a `.frames` file; blank lines are skipped."""
-    with open(path) as fh:
+    """Yield frames from a `.frames` file; blank lines are skipped.
+
+    Lines are split and decoded as the server splits and decodes them: a
+    byte that is not UTF-8 reads as U+FFFD, so it can fail only its line.
+    """
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
+            text = line.decode("utf-8", errors="replace").strip()
             if not text:
                 continue
             yield parse_frame_line(text, line_no=line_no, on_warning=on_warning)

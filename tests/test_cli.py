@@ -21,7 +21,7 @@ import pytest
 
 from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
-from handgrasp.sim import TECHNIQUES, run_replay
+from handgrasp.sim import TECHNIQUES, SessionEngine, run_replay
 from handgrasp.streams import (
     format_frame_line,
     load_template,
@@ -321,6 +321,37 @@ def test_frame_earlier_than_the_last_is_a_data_error(tmp_path, custom_stream, co
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "earlier than the previous frame" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, bad_line",
+    [
+        ("recognize", b"[" * 5_000 + b"]" * 5_000),
+        # deep enough to overflow the C stack of a decoder without a depth limit
+        ("simulate", b"[" * 300_000 + b"]" * 300_000),
+        ("recognize", b"\xffFRAME"),
+        ("simulate", b"\xffFRAME"),
+    ],
+    ids=["recognize-nested", "simulate-nested-past-the-stack", "recognize-not-utf8", "simulate-not-utf8"],
+)
+def test_line_json_cannot_read_is_a_data_error_after_the_earlier_events(
+    tmp_path, custom_stream, command, bad_line
+):
+    lines = custom_stream.read_bytes().splitlines(keepends=True)
+    bad_line = bad_line.replace(b"FRAME", lines[39].rstrip(b"\n"))  # the frame it spoils
+    bad = tmp_path / "bad.frames"
+    bad.write_bytes(b"".join(lines[:39]) + bad_line + b"\n" + b"".join(lines[40:]))
+    args = [command, "--in", str(bad), "--scene", str(SCENE), "--technique", "custom"]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "x.csv")]
+    result = _run(*args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "(line 40, field json)" in result.stderr
+    if command == "recognize":
+        engine = SessionEngine(*load_scene(SCENE), "custom")
+        earlier = [event for line in lines[:39] for event in engine.feed(parse_frame_line(line.decode()))]
+        assert earlier and result.stdout.splitlines() == earlier
 
 
 # ── recognize ────────────────────────────────────────────────────────────

@@ -1,0 +1,49 @@
+"""Every third-party module the package imports is a declared dependency."""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "handgrasp"
+
+
+def _declared() -> set[str]:
+    """The names in pyproject.toml `[project].dependencies`, lower-cased with
+    `-` read as `_`: each declared distribution imports under that name."""
+    text = (ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: read the one array by hand
+        array = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)
+        specs = re.findall(r'"([^"]+)"', array.group(1))
+    else:
+        specs = tomllib.loads(text)["project"]["dependencies"]
+    return {re.match(r"[\w.-]+", spec).group(0).lower().replace("-", "_") for spec in specs}
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    """Every absolute import in the module, function-level ones included."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_declared_in_pyproject():
+    declared = _declared()
+    third_party: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _top_level_imports(path) - set(sys.stdlib_module_names) - {"handgrasp"}
+        if names:
+            third_party[path.name] = names
+    # the scan sees the imports it must: numpy at module level, scipy in a function
+    assert {"numpy", "orjson", "scipy"} <= set().union(*third_party.values())
+    undeclared = {name: sorted(names - declared) for name, names in third_party.items() if names - declared}
+    assert undeclared == {}

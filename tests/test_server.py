@@ -222,6 +222,17 @@ def test_integer_too_large_for_a_float_is_a_parse_error_and_the_session_continue
     assert replies == expected[:1] + ["err parse 52"] + expected[1:]
 
 
+def test_line_nested_too_deeply_is_a_parse_error_and_the_session_continues(service):
+    address, scenes = service
+    lines = _mini_stream_lines()
+    nested = "[" * 5_000 + "]" * 5_000
+    replies = _talk(address, "session mini controller", lines[:50] + [nested] + lines[50:])
+    engine = SessionEngine(*scenes["mini"], "controller")
+    expected = [event for line in lines for event in engine.feed(parse_frame_line(line))]
+    expected.append(engine.summary().to_line())
+    assert replies == expected[:1] + ["err parse 52"] + expected[1:]
+
+
 def test_frame_earlier_than_the_last_is_a_time_error_and_the_session_continues(service):
     address, scenes = service
     lines = _mini_stream_lines()

@@ -141,6 +141,34 @@ def test_frame_line_rejects_an_over_large_integer(field, digits, expected):
     assert (err.value.line_no, err.value.field) == (4, expected)
 
 
+@pytest.mark.parametrize("field", ["hand", "grip"])
+def test_frame_line_quotes_an_integer_past_64_bits_as_written(field):
+    record = json.loads(format_frame_line(HandFrame(0.5, "right", np.zeros((25, 3)))))
+    record[field] = "HUGE"
+    line = json.dumps(record).replace('"HUGE"', "18446744073709551621")
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(line, line_no=4)
+    assert str(err.value).endswith(", got 18446744073709551621")
+    assert (err.value.line_no, err.value.field) == (4, field)
+
+
+@pytest.mark.parametrize("depth", [1_200, 5_000])
+@pytest.mark.parametrize("where", ["line", "hand", "unknown field"])
+def test_frame_line_nested_too_deeply_is_a_json_error(where, depth):
+    nested = "[" * depth + "]" * depth
+    line = format_frame_line(HandFrame(0.5, "right", np.zeros((25, 3))))
+    line = {
+        "line": nested,
+        "hand": line.replace('"right"', nested),
+        "unknown field": line[:-1] + ',"extra":' + nested + "}",
+    }[where]
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(line, line_no=4)
+    assert (str(err.value), err.value.line_no, err.value.field) == (
+        "invalid JSON: nested too deeply", 4, "json"
+    )
+
+
 @pytest.mark.parametrize("value", ['"0.5"', '"1_0"', '" 1"', '"x"', "true"])
 def test_frame_line_rejects_a_string_or_boolean_timestamp(value):
     line = format_frame_line(HandFrame(0.5, "right", np.zeros((25, 3))))
@@ -182,7 +210,8 @@ def test_frame_line_unknown_field_warns_but_parses():
 
 # The per-joint parser that the bulk conversion replaced, with floats read
 # the way the product reads them now: a string is never a number, nor is a
-# boolean timestamp. The product must agree with it on every input.
+# boolean timestamp. It decodes with json alone, the grammar of record, so
+# the product's orjson path must agree with it on every input.
 
 
 def _reference_number(value) -> float:
@@ -198,6 +227,8 @@ def _reference_parse(text: str, line_no: int, on_warning) -> HandFrame:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no, field="json") from exc
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}", line_no=line_no, field="json") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line_no=line_no, field="json") from None
     if not isinstance(record, dict):
         raise ParseError("frame record must be an object", line_no=line_no, field="json")
     for key in record:
@@ -254,17 +285,24 @@ def _reference_parse(text: str, line_no: int, on_warning) -> HandFrame:
 
 
 # JSON number and non-number tokens that a tracker, a script or a hand
-# edit could put where a coordinate belongs
+# edit could put where a coordinate belongs. orjson reads integers past 64
+# bits as floats and refuses NaN, 1e999 and lone surrogates, which json
+# accepts; json refuses nesting past the interpreter's recursion limit,
+# 1,200 arrays deep, which orjson accepts, and 5,000 arrays deep is past
+# the line length the product lets orjson decode at all.
+_BIG_INTEGERS = st.one_of(st.integers(2**64, 2**70), st.integers(-(2**70), -(2**63) - 1)).map(str)
 _ODD_TOKENS = st.one_of(
     st.integers(-(2**70), 2**70).map(str),  # past int64 and uint64 both ways
+    _BIG_INTEGERS,
     st.sampled_from(
         [
             "0", "-0", "-0.0", "5e-324", "1.7976931348623157e308", "1E3", "2.5e-3",
             "9007199254740993", "9223372036854775807", "9223372036854775808",
-            "-9223372036854775809", "18446744073709551621", "1" + "0" * 400,
-            "1e999", "-1e999", "NaN", "Infinity", "-Infinity",
-            "true", "false", "null", '"0.5"', '"1_0"', '" 1"', '"x"', "{}",
+            "-9223372036854775809", "18446744073709551621", "-18446744073709551621",
+            "1" + "0" * 400, "1e999", "-1e999", "NaN", "Infinity", "-Infinity",
+            "true", "false", "null", '"0.5"', '"1_0"', '" 1"', '"x"', '"\\ud800"', "{}",
             "[]", "[1.0]", "[1.0,2.0,3.0]", "[[1.0,2.0,3.0]]",
+            "[" * 1_200 + "]" * 1_200, "[" * 5_000 + "]" * 5_000,
         ]
     ),
 )
@@ -304,16 +342,21 @@ def _frame_texts(draw) -> str:
         )
         + "]"
     )
+    odd_hand = st.one_of(st.sampled_from(['"both"', "null", '"righ\\u0074"']), _BIG_INTEGERS, _ODD_TOKENS)
     fields = [
         ("t", draw(_ODD_TOKENS) if rarely() else repr(draw(_finite))),
-        ("hand", draw(st.sampled_from(['"both"', "null"])) if rarely() else draw(st.sampled_from(['"right"', '"left"']))),
+        ("hand", draw(odd_hand) if rarely() else draw(st.sampled_from(['"right"', '"left"']))),
         ("joints", joints),
     ]
-    grip = draw(st.sampled_from([None, "0", "1", "true", "false", "2", "null", "0.0"]))
+    grip = draw(st.sampled_from([None, "0", "1", "true", "false", "2", "null", "0.0", "1.0"]))
     if grip is not None:
-        fields.append(("grip", grip))
-    if draw(st.booleans()):
-        fields.append(("confidence", "0.9"))
+        fields.append(("grip", draw(st.one_of(_BIG_INTEGERS, _ODD_TOKENS)) if rarely() else grip))
+    if draw(st.booleans()):  # an unknown field, which only warns
+        key = draw(st.sampled_from(["confidence", "\\ud800"]))
+        fields.append((key, draw(_ODD_TOKENS) if rarely() else "0.9"))
+    if rarely():  # a duplicate key: the last one wins
+        key, value = draw(st.sampled_from(fields))
+        fields.append((key, draw(st.sampled_from([value, "0.25", '"left"', "1", "null"]))))
     fields = draw(st.permutations(fields))
     return "{" + ("," + space).join(f'"{key}":{space}{value}' for key, value in fields) + "}"
 
@@ -356,6 +399,18 @@ def test_frames_file_reports_offending_line(tmp_path):
     with pytest.raises(ParseError) as err:
         list(read_frames(path))
     assert err.value.line_no == 3
+
+
+def test_frames_file_byte_that_is_not_utf8_fails_only_its_line(tmp_path):
+    good = format_frame_line(HandFrame(0.0, "right", np.zeros((25, 3)))).encode()
+    path = tmp_path / "bad.frames"
+    path.write_bytes(good + b"\r\n" + good + b"\n" + b"\xff" + good + b"\n" + good + b"\n")
+    frames = []
+    with pytest.raises(ParseError) as err:
+        for frame in read_frames(path):
+            frames.append(frame)
+    assert len(frames) == 2
+    assert (err.value.line_no, err.value.field) == (3, "json")
 
 
 # ── templates and results ────────────────────────────────────────────────
