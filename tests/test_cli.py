@@ -23,6 +23,7 @@ from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
 from handgrasp.sim import TECHNIQUES, SessionEngine, run_replay
 from handgrasp.streams import (
+    ScriptBuilder,
     format_frame_line,
     load_template,
     parse_frame_line,
@@ -217,6 +218,82 @@ def test_simulate_matches_golden_results_and_events(tmp_path, protocol_streams, 
     assert result.returncode == 0, result.stderr
     assert out.read_bytes() == (GOLDEN / f"results_{technique}.csv").read_bytes()
     assert events.read_bytes() == (GOLDEN / f"events_{technique}.log").read_bytes()
+
+
+# ── free play ────────────────────────────────────────────────────────────
+
+# Six objects packed 6 cm apart in one plane, no protocol: a hand near any
+# of them hovers several, so each direct grab picks the nearest of many.
+FREEPLAY_OBJECTS = (
+    ("a", (-0.06, -0.03, 0.45), 0.020),
+    ("b", (0.00, -0.03, 0.45), 0.015),
+    ("c", (0.06, -0.03, 0.45), 0.025),
+    ("d", (-0.06, 0.03, 0.45), 0.012),
+    ("e", (0.00, 0.03, 0.45), 0.030),
+    ("f", (0.06, 0.03, 0.45), 0.018),
+)
+# (where the wrist grabs, where it lets go); the third visit gets the object
+# the first one dropped, the last grabs in empty space and takes nothing
+FREEPLAY_VISITS = (
+    ((-0.035, -0.03, 0.45), (0.03, 0.0, 0.45)),
+    ((0.05, 0.03, 0.45), (0.0, -0.1, 0.45)),
+    ((0.03, 0.0, 0.45), (-0.2, 0.0, 0.45)),
+    ((0.3, 0.3, 0.45), (0.3, 0.35, 0.45)),
+)
+
+
+def _write_freeplay_scene(path: Path) -> Path:
+    document = {
+        "scene_id": "freeplay",
+        "objects": [
+            {"id": object_id, "position": list(position), "bounding_radius": radius, "templates": []}
+            for object_id, position, radius in FREEPLAY_OBJECTS
+        ],
+    }
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    return path
+
+
+def _freeplay_frames(technique: str):
+    """Grab, carry and let go at every visit, by grip bit or by pinch."""
+    b = ScriptBuilder(start=(0.0, 0.0, 0.0))
+    controller = technique == "controller"
+    grip_off, grip_on = (False, True) if controller else (None, None)
+    for grab_at, release_at in FREEPLAY_VISITS:
+        b.move(grab_at, 0.5, kind="open", grip=grip_off)
+        b.hold(0.12, grip=grip_off)
+        if not controller:
+            b.morph("pinch", 0.15)
+        b.hold(0.3, grip=grip_on)
+        b.move(release_at, 0.5, grip=grip_on)
+        if not controller:
+            b.morph("open", 0.15)
+        b.hold(0.3, grip=grip_off)
+    b.move((0.0, 0.0, 0.0), 0.5, kind="open", grip=grip_off)
+    return b.frames()
+
+
+@pytest.mark.parametrize("technique", ["controller", "pinch"])
+def test_recognize_matches_golden_freeplay_events(tmp_path, technique):
+    scene_path = _write_freeplay_scene(tmp_path / "scene.json")
+    frames = _freeplay_frames(technique)
+    stream = tmp_path / f"{technique}.frames"
+    write_frames(stream, frames)
+    result = _run("recognize", "--in", str(stream), "--scene", str(scene_path),
+                  "--technique", technique)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode() == (GOLDEN / f"events_freeplay_{technique}.log").read_bytes()
+
+    # the log pins a choice: some grab frame hovers two or more objects
+    engine = SessionEngine(*load_scene(scene_path), technique)
+    hovered_at_grabs = []
+    for frame in frames:
+        if any(line.startswith("grab ") for line in engine.feed(frame)):
+            hovered_at_grabs.append(
+                sum(engine.registry.is_registered(object_id) for object_id, _, _ in FREEPLAY_OBJECTS)
+            )
+    assert len(hovered_at_grabs) == 3
+    assert max(hovered_at_grabs) >= 2
 
 
 def _numpy_uses_openblas() -> bool:
