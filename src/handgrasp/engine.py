@@ -6,9 +6,11 @@ template's budget (default 0.05 m, boundary inclusive). One broadcasting
 kernel computes that sum, for one template (`pose_distance`,
 `match_score`) or a stack of them (`recognize`), with the same bits.
 Matching is hover-gated: only templates attached to currently hovered
-objects are ever evaluated. Authoring a template is a hold gesture: keep
-the hand still near the target object for a fixed duration and the pose
-at the completing frame becomes the template.
+objects are ever evaluated. `hover_update` measures each object once per
+frame, where a pose map puts it, and returns the distances, from which
+direct grabs pick the nearest hovered object. Authoring a template is a
+hold gesture: keep the hand still near the target object for a fixed
+duration and the pose at the completing frame becomes the template.
 
 `GrabTracker` is the one model of a held object, for every technique: it
 carries the object on the palm and applies a per-frame grab or release
@@ -107,14 +109,8 @@ class TemplateStore:
     def get(self, name: str) -> GestureTemplate:
         return self._templates[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._templates
-
     def __len__(self) -> int:
         return len(self._templates)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._templates))
 
     def stack(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(joints (n,25,3), budgets (n,)) for the given names, cached."""
@@ -142,9 +138,7 @@ class ContextRegistry:
         self._by_object: dict[str, tuple[str, ...]] = {}
         self._active: tuple[str, ...] | None = ()
 
-    def register(self, object_id: str, gesture_names) -> None:
-        if isinstance(gesture_names, str):
-            gesture_names = (gesture_names,)
+    def register(self, object_id: str, gesture_names: tuple[str, ...]) -> None:
         self._by_object[object_id] = tuple(gesture_names)
         self._active = None
 
@@ -164,14 +158,10 @@ class ContextRegistry:
         return self._active
 
 
-def surface_distance(frame: HandFrame, obj) -> float:
-    """Closest joint to the object's bounding sphere surface, meters.
-
-    Negative when a joint is inside the sphere. `obj` needs `position`
-    and `bounding_radius` attributes.
-    """
-    dists = np.linalg.norm(frame.joints - np.asarray(obj.position, dtype=np.float64), axis=1)
-    return float(dists.min() - obj.bounding_radius)
+def surface_distance(frame: HandFrame, position, bounding_radius: float) -> float:
+    """Closest joint to the surface of a bounding sphere, meters; negative inside it."""
+    dists = np.linalg.norm(frame.joints - position, axis=1)
+    return float(dists.min() - bounding_radius)
 
 
 @dataclass(frozen=True)
@@ -181,24 +171,30 @@ class HoverEvent:
     timestamp: float
 
 
-def hover_update(frame: HandFrame, objects, registry: ContextRegistry) -> list[HoverEvent]:
-    """Edge-triggered hover tracking over all listed objects.
+def hover_update(
+    frame: HandFrame, objects, poses: dict[str, RigidTransform], registry: ContextRegistry
+) -> tuple[list[HoverEvent], dict[str, float]]:
+    """Edge-triggered hover tracking over the listed objects, where `poses` puts them now.
 
-    Entering the hover radius registers the object's gestures, leaving
-    it unregisters them. Objects need `object_id`, `position`,
-    `bounding_radius`, and `gesture_names` attributes.
+    Entering the hover radius registers an object's gestures, leaving it
+    unregisters them. Objects need `object_id`, `bounding_radius` and
+    `gesture_names`. Returns the edges and each object's surface distance by
+    id, computed once per frame, for callers that pick among the hovered.
     """
     events: list[HoverEvent] = []
+    distances: dict[str, float] = {}
     for obj in objects:
-        hovered = surface_distance(frame, obj) <= registry.hover_radius
+        distance = surface_distance(frame, poses[obj.object_id].translation, obj.bounding_radius)
+        distances[obj.object_id] = distance
+        hovered = distance <= registry.hover_radius
         was_hovered = registry.is_registered(obj.object_id)
         if hovered and not was_hovered:
-            registry.register(obj.object_id, tuple(obj.gesture_names))
+            registry.register(obj.object_id, obj.gesture_names)
             events.append(HoverEvent("hover", obj.object_id, frame.timestamp))
         elif not hovered and was_hovered:
             registry.unregister(obj.object_id)
             events.append(HoverEvent("unhover", obj.object_id, frame.timestamp))
-    return events
+    return events, distances
 
 
 def recognize(
@@ -324,7 +320,8 @@ class CaptureSession:
             )
         self._last_timestamp = frame.timestamp
 
-        if surface_distance(frame, self.target) > self.hover_radius:
+        target = self.target
+        if surface_distance(frame, target.position, target.bounding_radius) > self.hover_radius:
             return self._reset()
 
         if not self._stillness.update(frame):

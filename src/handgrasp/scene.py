@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DISTANCE_BUDGET, HOVER_RADIUS, RELEASE_DWELL, RELEASE_FACTOR, TemplateStore
+from .engine import HOVER_RADIUS, RELEASE_DWELL, RELEASE_FACTOR, TemplateStore
 from .errors import ParseError
-from .streams import load_template
+from .streams import load_template, read_json_object
 
 TARGET_DIAMETER = 0.5  # meters
 DISAPPEAR_DELAY = 1.0  # seconds between a release and the next trial
@@ -100,18 +100,16 @@ def _vec3(raw, field_name: str) -> np.ndarray:
 def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
     """Load a scene config and every template file it references."""
     path = Path(path)
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid scene JSON in {path}: {exc.msg}", field="json") from exc
-    if not isinstance(document, dict):
-        raise ParseError(f"scene config {path} must be a JSON object", field="json")
+    document = read_json_object(path, "scene config")
+    entries = document.get("objects", [])
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ParseError(f"scene config {path}: 'objects' must list JSON objects", field="objects")
 
     store = TemplateStore()
     objects: list[SceneObject] = []
     try:
         scene_id = str(document["scene_id"])
-        for entry in document.get("objects", []):
+        for entry in entries:
             names: list[str] = []
             for rel in entry.get("templates", []):
                 template = load_template(path.parent / rel)

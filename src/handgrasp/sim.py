@@ -7,10 +7,12 @@ SessionEngine backs the in-process replay API, the CLI, and the TCP
 service, so all three produce byte-identical logs for the same input.
 
 Every frame computes its palm transform once, before any state changes,
-so a degenerate skeleton is rejected without side effects. One GrabTracker
-holds the grabbed object under every technique: each frame it carries the
-held object on the palm, then applies the technique's intent. Only the
-code that decides the intent differs:
+so a degenerate skeleton is rejected without side effects. Hover then
+measures each present object once, where `object_poses` puts it now, and
+the direct techniques grab from those distances. One GrabTracker holds
+the grabbed object under every technique: each frame it carries the held
+object on the palm, then applies the technique's intent. Only the code
+that decides the intent differs:
   controller  grip bit edges grab the nearest hovered object / release
   pinch       debounced thumb-index pinch edges grab the nearest / release
   grab        generic grab template, released by release-role templates
@@ -24,7 +26,7 @@ seeded random point in the reach volume after every trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .engine import (
     TemplateIntent,
     TemplateStore,
     hover_update,
-    surface_distance,
 )
 from .errors import IncompleteRun, InvalidArgument, ProtocolViolation, TimeOrderError
 from .hand import HandFrame, RigidTransform, canonicalize, palm_frame, vector_length
@@ -191,15 +192,8 @@ class SessionEngine:
 
     def _present_objects(self) -> tuple[SceneObject, ...]:
         if self._protocol is None:
-            objects = self.scene.objects
-        else:
-            objects = (self._active,) if self._active is not None else ()
-        # hover tracks where the object is now, not where it started; a
-        # held object rides the palm and must stay hovered in transit
-        return tuple(
-            replace(obj, position=self.object_poses[obj.object_id].translation)
-            for obj in objects
-        )
+            return self.scene.objects
+        return (self._active,) if self._active is not None else ()
 
     def _finish_trial(self, object_id: str, timestamp: float) -> list[str]:
         center = self.object_poses[object_id].translation
@@ -257,19 +251,20 @@ class SessionEngine:
         ):
             self._begin_trial(self._sequence[self._trial])
 
-        lines: list[str] = []
-        present = self._present_objects()
-        for event in hover_update(frame, present, self.registry):
-            lines.append(f"{event.kind} {event.object_id} {_fmt(event.timestamp)}")
+        # hover reads object_poses, so a held object stays hovered in transit
+        events, distances = hover_update(
+            frame, self._present_objects(), self.object_poses, self.registry
+        )
+        lines = [f"{event.kind} {event.object_id} {_fmt(event.timestamp)}" for event in events]
 
         if self._template_intent is not None:
             intent = self._template_intent.decide(
                 self._tracker, frame.timestamp, hand, self.registry
             )
         elif self._pinch is not None:
-            intent = self._pinch_intent(frame, lines)
+            intent = self._pinch_intent(frame, distances, lines)
         else:
-            intent = self._grip_intent(frame)
+            intent = self._grip_intent(frame, distances)
         event = self._tracker.step(frame.timestamp, palm, self.object_poses, intent)
         if event is None:
             return lines
@@ -284,34 +279,32 @@ class SessionEngine:
                 lines.extend(self._finish_trial(event.object_id, event.timestamp))
         return lines
 
-    def _pinch_intent(self, frame: HandFrame, lines: list[str]) -> Match | str | None:
+    def _pinch_intent(
+        self, frame: HandFrame, distances: dict[str, float], lines: list[str]
+    ) -> Match | str | None:
         event = self._pinch.update(frame)
         if event is None:
             return None
         lines.append(f"{event.kind} {_fmt(event.timestamp)}")
-        return self._nearest_hovered(frame, "pinch") if event.kind == "pinch-start" else RELEASE
+        return self._nearest_hovered(distances, "pinch") if event.kind == "pinch-start" else RELEASE
 
-    def _grip_intent(self, frame: HandFrame) -> Match | str | None:
+    def _grip_intent(self, frame: HandFrame, distances: dict[str, float]) -> Match | str | None:
         grip = bool(frame.grip)
         rising = grip and not self._grip_was
         falling = self._grip_was and not grip
         self._grip_was = grip
         if rising:
-            return self._nearest_hovered(frame, "grip")
+            return self._nearest_hovered(distances, "grip")
         return RELEASE if falling else None
 
-    def _nearest_hovered(self, frame: HandFrame, label: str) -> Match | None:
-        """A direct grab of the hovered object nearest the hand, scored 0."""
+    def _nearest_hovered(self, distances: dict[str, float], label: str) -> Match | None:
+        """A direct grab of the nearest hovered object, scored 0; ties go to the smaller id."""
         hovered = [
-            obj
-            for obj in self._present_objects()
-            if self.registry.is_registered(obj.object_id)
+            (distance, object_id)
+            for object_id, distance in distances.items()
+            if self.registry.is_registered(object_id)
         ]
-        if not hovered:
-            return None
-        # ties resolved by object id through the stable sort
-        hovered.sort(key=lambda obj: (surface_distance(frame, obj), obj.object_id))
-        return Match(label, hovered[0].object_id, 0.0)
+        return Match(label, min(hovered)[1], 0.0) if hovered else None
 
     def summary(self) -> RunSummary:
         return summarize(self.results, self.technique)

@@ -318,12 +318,22 @@ def save_template(path: str | Path, template: GestureTemplate) -> None:
         fh.write("\n")
 
 
+def read_json_object(path: str | Path, kind: str) -> dict:
+    """The JSON object a UTF-8 config file holds, or a ParseError naming the file;
+    `kind` names the document in messages ("scene config", "template")."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+        raise ParseError(f"invalid {kind} JSON in {path}: {exc}", field="json") from exc
+    except RecursionError:
+        raise ParseError(f"invalid {kind} JSON in {path}: nested too deeply", field="json") from None
+    if not isinstance(document, dict):
+        raise ParseError(f"{kind} {path} must be a JSON object", field="json")
+    return document
+
+
 def load_template(path: str | Path) -> GestureTemplate:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid template JSON in {path}: {exc.msg}", field="json") from exc
+    document = read_json_object(path, "template")
     version = document.get("format_version")
     if version != TEMPLATE_FORMAT_VERSION:
         raise ParseError(

@@ -431,6 +431,34 @@ def test_line_json_cannot_read_is_a_data_error_after_the_earlier_events(
         assert earlier and result.stdout.splitlines() == earlier
 
 
+@pytest.mark.parametrize(
+    "file_name, content",
+    [
+        ("scene.json", b"[" * 5_000 + b"]" * 5_000),
+        ("cube-grasp.gesture", b"[" * 5_000 + b"]" * 5_000),
+        ("scene.json", b"\xff{}"),
+        ("cube-grasp.gesture", b"\xff{}"),
+        ("cube-grasp.gesture", b"[1,2]"),
+        ("scene.json", b'{"scene_id": "demo", "objects": "x"}'),
+    ],
+    ids=["scene-nested", "template-nested", "scene-not-utf8", "template-not-utf8",
+         "template-not-an-object", "scene-objects-not-a-list"],
+)
+def test_scene_or_template_file_json_cannot_read_is_a_data_error_naming_it(tmp_path, file_name, content):
+    demo = tmp_path / "demo"
+    demo.mkdir()
+    for source in (DATA / "demo").iterdir():
+        (demo / source.name).write_bytes(source.read_bytes())
+    (demo / file_name).write_bytes(content)
+    stream = tmp_path / "still.frames"
+    write_frames(stream, synth_stream("open", duration=0.1))
+    result = _run("recognize", "--in", str(stream), "--scene", str(demo / "scene.json"))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("data error: ")
+    assert str(demo / file_name) in result.stderr
+
+
 # ── recognize ────────────────────────────────────────────────────────────
 
 

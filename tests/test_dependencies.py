@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency, and
+every name a package module imports is used there."""
 
 from __future__ import annotations
 
@@ -47,3 +48,24 @@ def test_every_third_party_import_is_declared_in_pyproject():
     assert {"numpy", "orjson", "scipy"} <= set().union(*third_party.values())
     undeclared = {name: sorted(names - declared) for name, names in third_party.items() if names - declared}
     assert undeclared == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module imports, at any level, and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # __init__.py imports names to re-export them
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) > 10
+    unused = {path.name: names for path in modules if (names := _unused_imports(path))}
+    assert unused == {}

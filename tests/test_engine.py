@@ -241,12 +241,16 @@ def _hover_frame(distance_from_surface: float, obj: SceneObject) -> HandFrame:
     return HandFrame(0.0, "right", joints + shift)
 
 
+def _poses(obj: SceneObject) -> dict[str, RigidTransform]:
+    return {obj.object_id: RigidTransform(np.eye(3), obj.position)}
+
+
 def test_hover_event_at_nine_centimetres():
     obj = SceneObject("cup", np.array([0.0, 0.0, 0.4]), 0.05, ("cup-g",))
     registry = ContextRegistry()
     frame = _hover_frame(0.09, obj)
-    assert surface_distance(frame, obj) <= HOVER_RADIUS
-    events = hover_update(frame, [obj], registry)
+    assert surface_distance(frame, obj.position, obj.bounding_radius) <= HOVER_RADIUS
+    events, _ = hover_update(frame, [obj], _poses(obj), registry)
     assert [event.kind for event in events] == ["hover"]
     assert registry.is_registered("cup")
     assert registry.registered_gestures() == ("cup-g",)
@@ -255,8 +259,8 @@ def test_hover_event_at_nine_centimetres():
 def test_unhover_event_at_eleven_centimetres():
     obj = SceneObject("cup", np.array([0.0, 0.0, 0.4]), 0.05, ("cup-g",))
     registry = ContextRegistry()
-    hover_update(_hover_frame(0.09, obj), [obj], registry)
-    events = hover_update(_hover_frame(0.11, obj), [obj], registry)
+    hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), registry)
+    events, _ = hover_update(_hover_frame(0.11, obj), [obj], _poses(obj), registry)
     assert [event.kind for event in events] == ["unhover"]
     assert not registry.is_registered("cup")
     assert registry.registered_gestures() == ()
@@ -267,7 +271,7 @@ def test_hover_is_edge_triggered():
     registry = ContextRegistry()
     events = []
     for _ in range(100):
-        events.extend(hover_update(_hover_frame(0.09, obj), [obj], registry))
+        events.extend(hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), registry)[0])
     assert len(events) == 1
 
 

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from handgrasp import engine as engine_module
 from handgrasp import hand
-from handgrasp.engine import TemplateStore
+from handgrasp.engine import ContextRegistry, TemplateStore
 from handgrasp.errors import (
     DegenerateHand,
     IncompleteRun,
@@ -271,6 +274,113 @@ def test_palm_basis_is_computed_at_most_once_per_frame(demo, technique, monkeypa
     assert engine.finished
     # every frame computes its palm once, up front; the held object rides it
     assert set(per_frame) == {1}
+
+
+# ── hover and the nearest hovered object ─────────────────────────────────
+
+
+def _reference_surface_distance(frame, obj) -> float:
+    """The per-object rule hover had before it read poses: the object's own position."""
+    dists = np.linalg.norm(frame.joints - np.asarray(obj.position, dtype=np.float64), axis=1)
+    return float(dists.min() - obj.bounding_radius)
+
+
+def _reference_frame(frame, objects, poses, registry):
+    """One frame of the reference: copy each object to its pose, hover each copy,
+    then sort the hovered copies by (distance, id) for a direct grab."""
+    present = [replace(obj, position=poses[obj.object_id].translation) for obj in objects]
+    edges = []
+    for obj in present:
+        hovered = _reference_surface_distance(frame, obj) <= registry.hover_radius
+        was_hovered = registry.is_registered(obj.object_id)
+        if hovered and not was_hovered:
+            registry.register(obj.object_id, obj.gesture_names)
+            edges.append(f"hover {obj.object_id} {frame.timestamp!r}")
+        elif not hovered and was_hovered:
+            registry.unregister(obj.object_id)
+            edges.append(f"unhover {obj.object_id} {frame.timestamp!r}")
+    hovered = [obj for obj in present if registry.is_registered(obj.object_id)]
+    hovered.sort(key=lambda obj: (_reference_surface_distance(frame, obj), obj.object_id))
+    return edges, hovered[0].object_id if hovered else None
+
+
+_coordinate = st.floats(-0.15, 0.15, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hover_cases(draw):
+    """Objects that start at one place and sit at another, hands near them, and a
+    hover radius equal to one object's surface distance on one frame. Two objects
+    share a pose and a radius, so they tie at every frame under different ids."""
+    count = draw(st.integers(2, 6))
+    ids = draw(st.permutations([f"o{i}" for i in range(count)]))
+    objects, poses = [], {}
+    for object_id in ids:
+        start = np.array(draw(st.tuples(_coordinate, _coordinate, _coordinate)))
+        objects.append(SceneObject(object_id, start, draw(st.floats(0.005, 0.06)), (f"{object_id}-g",)))
+        at = np.array(draw(st.tuples(_coordinate, _coordinate, _coordinate)))
+        poses[object_id] = hand.RigidTransform(np.eye(3), at)
+    twin, original = draw(st.sampled_from([(ids[0], ids[1]), (ids[1], ids[0])]))
+    objects[ids.index(twin)] = replace(
+        objects[ids.index(twin)], bounding_radius=objects[ids.index(original)].bounding_radius
+    )
+    poses[twin] = poses[original]
+    frames = []
+    for i in range(draw(st.integers(1, 4))):
+        wrist = np.array(draw(st.tuples(_coordinate, _coordinate, _coordinate)))
+        kind = draw(st.sampled_from(["open", "fist", "pinch"]))
+        # fingers point +z, so a wrist 10 cm low puts the hand among the objects
+        frames.append(pose_frame(kind, timestamp=i / 90.0, at=wrist - [0.0, 0.0, 0.1], grip=False))
+    frames[-1] = replace(frames[-1], grip=True)  # the grip edge: a direct grab
+    on_edge = draw(st.sampled_from(ids))
+    edge_frame = draw(st.sampled_from(frames))
+    at = replace(objects[ids.index(on_edge)], position=poses[on_edge].translation)
+    hover_radius = _reference_surface_distance(edge_frame, at)
+    return objects, poses, frames, hover_radius
+
+
+# no explain phase: on a failure it runs for minutes and grows to a gigabyte
+@settings(
+    max_examples=300,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+)
+@given(_hover_cases())
+def test_hover_pass_and_nearest_grab_match_the_per_object_reference(case):
+    objects, poses, frames, hover_radius = case
+    scene = Scene("free", tuple(objects), hover_radius=hover_radius)
+    engine = SessionEngine(scene, TemplateStore(), "controller")
+    engine.object_poses.update(poses)
+    registry = ContextRegistry(hover_radius)
+    for frame in frames:
+        lines = engine.feed(frame)
+        edges, nearest = _reference_frame(frame, objects, poses, registry)
+        assert [line for line in lines if "hover " in line] == edges
+        for obj in objects:
+            assert engine.registry.is_registered(obj.object_id) == registry.is_registered(obj.object_id)
+        assert engine.registry.registered_gestures() == registry.registered_gestures()
+    grabs = [line.split()[1] for line in lines if line.startswith("grab ")]
+    assert grabs == ([] if nearest is None else [nearest])
+
+
+def test_grip_edge_frame_computes_one_surface_distance_per_present_object(monkeypatch):
+    objects = tuple(
+        SceneObject(f"o{i}", CUBE_AT + [0.03 * i, 0.0, 0.0], 0.01) for i in range(5)
+    )
+    engine = SessionEngine(Scene("free", objects), TemplateStore(), "controller")
+    distance = engine_module.surface_distance
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return distance(*args)
+
+    monkeypatch.setattr(engine_module, "surface_distance", counted)
+    engine.feed(pose_frame("open", timestamp=0.0, at=CUBE_AT, grip=False))
+    calls.clear()
+    lines = engine.feed(pose_frame("open", timestamp=1 / 90.0, at=CUBE_AT, grip=True))
+    assert lines == ["grab o0 grip 0.0 0.011111111111111112"]
+    assert len(calls) == len(objects)
 
 
 # ── summaries ────────────────────────────────────────────────────────────
