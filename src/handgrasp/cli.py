@@ -30,6 +30,7 @@ from .sim import SessionEngine, latin_square_order, run_replay, TECHNIQUES
 from .stats import anova_oneway, describe
 from .streams import (
     POSE_KINDS,
+    TRACKER_RATE,
     read_frames,
     read_results,
     save_template,
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic pose stream")
     p.add_argument("--pose", required=True, choices=POSE_KINDS)
     p.add_argument("--duration", type=float, required=True, help="seconds")
-    p.add_argument("--rate", type=float, default=90.0, help="frames per second")
+    p.add_argument("--rate", type=float, default=TRACKER_RATE, help="frames per second")
     p.add_argument("--sigma", type=float, default=0.0, help="per-coordinate noise SD, meters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--side", default="right", choices=("left", "right"))

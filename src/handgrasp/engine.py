@@ -69,13 +69,18 @@ class GestureTemplate:
         object.__setattr__(self, "joints_local", joints)
 
 
+def _joint_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between matching rows of `a` and `b` (broadcast), per joint."""
+    diff = a - b
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def _distance_sums(current: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """Summed per-joint Euclidean distance to a (25, 3) template, or to each of (n, 25, 3).
 
     The one scoring kernel: a template scores the same bits alone as in a stack.
     """
-    diff = current - templates
-    return np.sqrt((diff * diff).sum(axis=-1)).sum(axis=-1)
+    return _joint_distances(current, templates).sum(axis=-1)
 
 
 def pose_distance(current: CanonicalHand, template: GestureTemplate) -> float:
@@ -160,8 +165,7 @@ class ContextRegistry:
 
 def surface_distance(frame: HandFrame, position, bounding_radius: float) -> float:
     """Closest joint to the surface of a bounding sphere, meters; negative inside it."""
-    dists = np.linalg.norm(frame.joints - position, axis=1)
-    return float(dists.min() - bounding_radius)
+    return float(_joint_distances(frame.joints, position).min() - bounding_radius)
 
 
 @dataclass(frozen=True)
@@ -236,21 +240,19 @@ class StillnessWindow:
     """Sliding window over the wrist and five fingertips.
 
     A frame counts as still while none of the six tracked points has
-    drifted more than the tolerance from where it was at the start of
-    the current window (at most `capacity` consecutive frames). On a
-    violation the window restarts at the offending frame.
+    drifted more than STILLNESS_TOLERANCE from where it was at the start
+    of the current window (at most STILLNESS_WINDOW consecutive frames).
+    On a violation the window restarts at the offending frame.
     """
 
-    def __init__(self, tolerance: float = STILLNESS_TOLERANCE, capacity: int = STILLNESS_WINDOW):
-        self.tolerance = tolerance
-        self._window: deque[np.ndarray] = deque(maxlen=capacity)
+    def __init__(self):
+        self._window: deque[np.ndarray] = deque(maxlen=STILLNESS_WINDOW)
 
     def update(self, frame: HandFrame) -> bool:
         points = frame.joints[_STILLNESS_POINTS]
         self._window.append(points)
         start = self._window[0]
-        drift = np.linalg.norm(points - start, axis=1)
-        if (drift > self.tolerance).any():
+        if (_joint_distances(points, start) > STILLNESS_TOLERANCE).any():
             self._window.clear()
             self._window.append(points)
             return False
@@ -270,33 +272,19 @@ class CaptureEvent:
 class CaptureSession:
     """Authors a template by holding a still pose near the target object.
 
-    Progress runs from 0 to 1 over the required hold time and drops
-    back to 0 whenever the hand moves or leaves the hover radius. The
-    pose at the completing frame becomes the template.
+    Progress runs from 0 to 1 over HOLD_REQUIRED seconds and drops back
+    to 0 whenever the hand moves or leaves the hover radius. The pose at
+    the completing frame becomes the template, with the default budget.
     """
 
-    def __init__(
-        self,
-        target,
-        template_name: str,
-        role: str = ROLE_GRAB,
-        hover_radius: float = HOVER_RADIUS,
-        hold_required: float = HOLD_REQUIRED,
-        tracking_timeout: float = TRACKING_TIMEOUT,
-        threshold_sum: float = DISTANCE_BUDGET,
-        stillness_tolerance: float = STILLNESS_TOLERANCE,
-        stillness_window: int = STILLNESS_WINDOW,
-    ):
+    def __init__(self, target, template_name: str, role: str = ROLE_GRAB, hover_radius: float = HOVER_RADIUS):
         self.target = target
         self.template_name = template_name
         self.role = role
         self.hover_radius = hover_radius
-        self.hold_required = hold_required
-        self.tracking_timeout = tracking_timeout
-        self.threshold_sum = threshold_sum
         self.state = "idle"
         self.progress = 0.0
-        self._stillness = StillnessWindow(stillness_tolerance, stillness_window)
+        self._stillness = StillnessWindow()
         self._hold_start: float | None = None
         self._last_timestamp: float | None = None
 
@@ -312,7 +300,7 @@ class CaptureSession:
             raise InvalidArgument("capture session already completed")
         if (
             self._last_timestamp is not None
-            and frame.timestamp - self._last_timestamp > self.tracking_timeout
+            and frame.timestamp - self._last_timestamp > TRACKING_TIMEOUT
         ):
             self.state = "aborted"
             raise HandLost(
@@ -334,14 +322,13 @@ class CaptureSession:
         if self._hold_start is None:
             self._hold_start = frame.timestamp
         elapsed = frame.timestamp - self._hold_start
-        self.progress = min(max(elapsed / self.hold_required, 0.0), 1.0)
+        self.progress = min(max(elapsed / HOLD_REQUIRED, 0.0), 1.0)
         if self.progress >= 1.0:
             template = GestureTemplate(
                 name=self.template_name,
                 object_id=self.target.object_id,
                 role=self.role,
                 joints_local=canonicalize(frame).joints_local,
-                threshold_sum=self.threshold_sum,
             )
             self.state = "captured"
             return CaptureEvent("captured", 1.0, template)

@@ -25,16 +25,14 @@ class PinchEvent:
 class PinchState:
     """Debounced pinch state; events strictly alternate by construction."""
 
-    def __init__(self, distance: float = PINCH_DISTANCE, debounce: float = PINCH_DEBOUNCE):
-        self.distance = distance
-        self.debounce = debounce
+    def __init__(self):
         self.pinching = False
         self._candidate: bool | None = None
         self._candidate_since: float | None = None
 
     def update(self, frame: HandFrame) -> PinchEvent | None:
         gap = vector_length(frame.joints[JointId.THUMB_TIP] - frame.joints[JointId.INDEX_TIP])
-        raw = gap < self.distance
+        raw = gap < PINCH_DISTANCE
         if raw == self.pinching:
             self._candidate = None
             self._candidate_since = None
@@ -43,7 +41,7 @@ class PinchState:
             self._candidate = raw
             self._candidate_since = frame.timestamp
             return None
-        if frame.timestamp - self._candidate_since >= self.debounce:
+        if frame.timestamp - self._candidate_since >= PINCH_DEBOUNCE:
             self.pinching = raw
             self._candidate = None
             self._candidate_since = None

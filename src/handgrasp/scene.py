@@ -104,6 +104,13 @@ def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
     entries = document.get("objects", [])
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ParseError(f"scene config {path}: 'objects' must list JSON objects", field="objects")
+    for entry in entries:
+        files = entry.get("templates", [])
+        if not isinstance(files, list) or not all(isinstance(rel, str) for rel in files):
+            raise ParseError(f"scene config {path}: 'templates' must list file names", field="templates")
+    for section in ("target", "protocol", "release"):
+        if not isinstance(document.get(section, {}), dict):
+            raise ParseError(f"scene config {path}: {section!r} must be a JSON object", field=section)
 
     store = TemplateStore()
     objects: list[SceneObject] = []

@@ -105,8 +105,8 @@ def build_demo_scene(directory: str | Path, scene_id: str = "demo", seed: int = 
     return config_path
 
 
-def script_protocol_run(scene: Scene, technique: str, rate: float = 90.0):
-    """Frames that perform the whole protocol cleanly under `technique`."""
+def script_protocol_run(scene: Scene, technique: str):
+    """Frames at TRACKER_RATE that perform the whole protocol cleanly under `technique`."""
     if technique not in TECHNIQUES:
         raise InvalidArgument(f"unknown technique {technique!r}")
     if scene.protocol is None or scene.target is None:
@@ -117,7 +117,7 @@ def script_protocol_run(scene: Scene, technique: str, rate: float = 90.0):
     jitter_seed = scene.protocol.seed + 101 * (TECHNIQUES.index(technique) + 1)
     jitter = np.random.default_rng(jitter_seed)
 
-    builder = ScriptBuilder(rate=rate, side="right", start=(0.0, 0.0, 0.0))
+    builder = ScriptBuilder()
     object_index = {obj.object_id: i for i, obj in enumerate(scene.objects)}
     for trial, obj in enumerate(sequence):
         release_at = targets[trial] + jitter.uniform(-_RELEASE_JITTER, _RELEASE_JITTER, 3)

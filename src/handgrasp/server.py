@@ -31,10 +31,10 @@ import logging
 import socketserver
 import threading
 
-from .errors import CountError, DegenerateHand, ParseError, TimeOrderError
+from .errors import CountError, DegenerateHand, InvalidArgument, ParseError, ProtocolViolation, TimeOrderError
 from .scene import Scene
 from .engine import TemplateStore
-from .sim import SessionEngine, TECHNIQUES
+from .sim import SessionEngine
 from .streams import parse_frame_line
 
 logger = logging.getLogger(__name__)
@@ -83,11 +83,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             if scene_id not in scenes:
                 replies.append("err scene 1")
                 return True
-            if technique not in TECHNIQUES:
+            try:
+                self.engine = SessionEngine(*scenes[scene_id], technique)
+            except InvalidArgument:
                 replies.append("err technique 1")
                 return True
-            scene, store = scenes[scene_id]
-            self.engine = SessionEngine(scene, store, technique)
             return False
         if not text:
             return False
@@ -102,11 +102,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         except ParseError:
             replies.append(f"err parse {line_no}")
             return False
-        if engine.finished:
-            replies.append(f"err finished {line_no}")
-            return False
         try:
             replies.extend(engine.feed(frame))
+        except ProtocolViolation:
+            replies.append(f"err finished {line_no}")
         except DegenerateHand:
             replies.append(f"err degenerate {line_no}")
         except TimeOrderError:

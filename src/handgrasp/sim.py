@@ -42,14 +42,14 @@ from .engine import (
 from .errors import IncompleteRun, InvalidArgument, ProtocolViolation, TimeOrderError
 from .hand import HandFrame, RigidTransform, canonicalize, palm_frame, vector_length
 from .pinch import PinchState
-from .scene import ProtocolSpec, Scene, SceneObject
+from .scene import GREEN_LIMIT, YELLOW_LIMIT, ProtocolSpec, Scene, SceneObject
 from .stats import describe
 from .streams import TrialResult
 
 TECHNIQUES = ("controller", "pinch", "grab", "custom")
 
 
-def color_band(distance: float, green_limit: float = 0.02, yellow_limit: float = 0.05) -> str:
+def color_band(distance: float, green_limit: float = GREEN_LIMIT, yellow_limit: float = YELLOW_LIMIT) -> str:
     """Accuracy feedback band; edges belong to the worse band."""
     if distance < green_limit:
         return "green"

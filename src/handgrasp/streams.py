@@ -42,6 +42,7 @@ from .hand import JOINT_COUNT, HandFrame, JointId
 logger = logging.getLogger(__name__)
 
 TEMPLATE_FORMAT_VERSION = 1
+TRACKER_RATE = 90.0  # frames per second of a hand tracker, for generated streams
 RESULTS_HEADER = ("technique", "object", "accuracy_m", "tct_s", "dropped", "band")
 
 _FRAME_FIELDS = {"t", "hand", "joints", "grip"}
@@ -484,7 +485,7 @@ def pose_frame(
 def synth_stream(
     kind: str,
     duration: float,
-    rate: float = 90.0,
+    rate: float = TRACKER_RATE,
     sigma: float = 0.0,
     seed: int = 0,
     side: str = "right",
@@ -517,7 +518,7 @@ class ScriptBuilder:
 
     def __init__(
         self,
-        rate: float = 90.0,
+        rate: float = TRACKER_RATE,
         sigma: float = 0.0,
         seed: int = 0,
         side: str = "right",

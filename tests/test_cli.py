@@ -445,18 +445,55 @@ def test_line_json_cannot_read_is_a_data_error_after_the_earlier_events(
          "template-not-an-object", "scene-objects-not-a-list"],
 )
 def test_scene_or_template_file_json_cannot_read_is_a_data_error_naming_it(tmp_path, file_name, content):
-    demo = tmp_path / "demo"
-    demo.mkdir()
-    for source in (DATA / "demo").iterdir():
-        (demo / source.name).write_bytes(source.read_bytes())
+    demo = _demo_copy(tmp_path)
     (demo / file_name).write_bytes(content)
-    stream = tmp_path / "still.frames"
-    write_frames(stream, synth_stream("open", duration=0.1))
-    result = _run("recognize", "--in", str(stream), "--scene", str(demo / "scene.json"))
+    result = _recognize_still_hand(tmp_path, demo / "scene.json")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("data error: ")
     assert str(demo / file_name) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("protocol", []),
+        ("release", [1]),
+        ("target", [1]),
+        ("templates", "."),
+        ("templates", "x.gesture"),
+        ("templates", [1]),
+    ],
+    ids=["protocol-a-list", "release-a-list", "target-a-list", "templates-a-directory",
+         "templates-a-file-name", "templates-not-names"],
+)
+def test_scene_section_of_the_wrong_type_is_a_data_error_naming_it(tmp_path, field, value):
+    demo = _demo_copy(tmp_path)
+    config = demo / "scene.json"
+    document = json.loads(config.read_text())
+    if field == "templates":
+        document["objects"][0]["templates"] = value
+    else:
+        document[field] = value
+    config.write_text(json.dumps(document))
+    result = _recognize_still_hand(tmp_path, config)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"data error: scene config {config}: {field!r} must ")
+
+
+def _demo_copy(tmp_path: Path) -> Path:
+    demo = tmp_path / "demo"
+    demo.mkdir()
+    for source in (DATA / "demo").iterdir():
+        (demo / source.name).write_bytes(source.read_bytes())
+    return demo
+
+
+def _recognize_still_hand(tmp_path: Path, config: Path):
+    stream = tmp_path / "still.frames"
+    write_frames(stream, synth_stream("open", duration=0.1))
+    return _run("recognize", "--in", str(stream), "--scene", str(config))
 
 
 # ── recognize ────────────────────────────────────────────────────────────
@@ -545,6 +582,22 @@ def test_serve_exits_cleanly_on_sigint_while_clients_connect():
                 proc.communicate()
             client.join(timeout=10)
             assert not client.is_alive()
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.1, 0.3])
+def test_serve_exits_cleanly_on_a_second_sigint(gap):
+    # The second SIGINT lands while the first one is still stopping the server.
+    proc, _ = _serving(["-m", "handgrasp"])
+    try:
+        proc.send_signal(signal.SIGINT)
+        time.sleep(gap)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=5)
+        assert (proc.returncode, err.decode()) == (0, "")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 # Runs `handgrasp serve` with each connection held for a second in the
