@@ -650,6 +650,20 @@ def test_stats_over_golden_results():
     assert any(line.startswith("anova tct: F(2,69)=") for line in lines)
 
 
+def test_stats_stdout_over_every_golden_results_file_is_pinned():
+    result = _run("stats", "--results", *(str(path) for path in sorted(GOLDEN.glob("results_*.csv"))))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "technique trials drops accuracy_mean accuracy_sd tct_mean tct_sd\n"
+        "controller 24 0 0.00944326 0.0026546 1.11713 0.0320994\n"
+        "custom 24 0 0.00880038 0.00359825 1.13426 0.0343511\n"
+        "grab 24 0 0.00939517 0.0023424 1.17361 0.0328977\n"
+        "pinch 24 0 0.00952999 0.00325979 1.24352 0.032089\n"
+        "anova accuracy: F(3,92)=0.294102 p=0.829565\n"
+        "anova tct: F(3,92)=70.0195 p=1.14955e-23\n"
+    )
+
+
 def test_stats_missing_file_exits_2(tmp_path):
     result = _run("stats", "--results", str(tmp_path / "ghost.csv"))
     assert result.returncode == 2
