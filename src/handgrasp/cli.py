@@ -13,7 +13,6 @@ import signal
 import sys
 import threading
 
-from . import server as server_mod
 from .engine import CaptureSession
 from .errors import (
     DegenerateHand,
@@ -26,8 +25,9 @@ from .errors import (
     TimeOrderError,
 )
 from .scene import load_scene
-from .sim import SessionEngine, latin_square_order, run_replay, TECHNIQUES
-from .stats import anova_oneway, describe
+from .server import GraspServer
+from .sim import SessionEngine, latin_square_order, run_replay, summarize, TECHNIQUES
+from .stats import anova_oneway
 from .streams import (
     POSE_KINDS,
     TRACKER_RATE,
@@ -192,12 +192,10 @@ def _cmd_stats(args) -> int:
     print("technique trials drops accuracy_mean accuracy_sd tct_mean tct_sd")
     by_technique: dict[str, list] = {t: [r for r in rows if r.technique == t] for t in techniques}
     for t in techniques:
-        group = by_technique[t]
-        acc = describe([r.accuracy for r in group])
-        tct = describe([r.tct for r in group])
-        drops = sum(1 for r in group if r.dropped)
+        s = summarize(by_technique[t], t)
         print(
-            f"{t} {acc.n} {drops} {acc.mean:.6g} {acc.sd:.6g} {tct.mean:.6g} {tct.sd:.6g}"
+            f"{t} {s.trials} {s.drops} {s.accuracy_mean:.6g} {s.accuracy_sd:.6g}"
+            f" {s.tct_mean:.6g} {s.tct_sd:.6g}"
         )
     if len(techniques) >= 2:
         for label, pick in (("accuracy", lambda r: r.accuracy), ("tct", lambda r: r.tct)):
@@ -226,7 +224,7 @@ def _cmd_serve(args) -> int:
     for path in args.scene:
         scene, store = load_scene(path)
         scenes[scene.scene_id] = (scene, store)
-    srv = server_mod.GraspServer(scenes, host=args.host, port=args.port)
+    srv = GraspServer(scenes, host=args.host, port=args.port)
     host, port = srv.address
     # A KeyboardInterrupt raised while socketserver starts a handler thread
     # can break that thread's start lock and be swallowed, leaving the
@@ -246,7 +244,7 @@ def _cmd_serve(args) -> int:
         srv.serve_forever()
     finally:
         signal.signal(signal.SIGINT, previous)
-        srv.close()
+        srv.server_close()
     return EXIT_OK
 
 

@@ -22,6 +22,10 @@ handles every complete line among them and sends all their replies in
 one write before its next blocking read. The socket has TCP_NODELAY
 set, so that write leaves at once instead of waiting for the client to
 acknowledge the previous one.
+
+`handgrasp serve` runs the inherited `serve_forever` on its main thread;
+tests and embedders use `GraspServer.start` and `stop` instead, which
+serve on a background thread.
 """
 
 from __future__ import annotations
@@ -113,13 +117,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         return False
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class GraspServer(socketserver.ThreadingTCPServer):
+    """Owns the listening socket; `scenes` maps id -> (Scene, TemplateStore)."""
+
     allow_reuse_address = True
     daemon_threads = True
-
-
-class GraspServer:
-    """Owns the listening socket; `scenes` maps id -> (Scene, TemplateStore)."""
 
     def __init__(
         self,
@@ -127,44 +129,24 @@ class GraspServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        self._server = _ThreadingServer((host, port), _SessionHandler)
-        self._server.scenes = scenes
+        super().__init__((host, port), _SessionHandler)
+        self.scenes = scenes
         self._thread: threading.Thread | None = None
-        self._serving = False
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
-
-    def serve_forever(self) -> None:
-        self._serving = True
-        self._server.serve_forever()
+        return self.server_address[:2]
 
     def start(self) -> None:
-        """Serve on a background thread (used by tests and embedders)."""
-        self._serving = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        """Serve on a background thread."""
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
 
-    def shutdown(self) -> None:
-        """Make `serve_forever`, running on another thread, return, and wait
-        until it has; if it has not started yet, it returns at once when
-        it does."""
-        self._server.shutdown()
-
-    def close(self) -> None:
-        """Release the listening socket once `serve_forever` has returned,
-        or if it never ran."""
-        self._server.server_close()
-
     def stop(self) -> None:
-        """Stop a server running `serve_forever` on another thread, and
-        release its socket; a server that never served is just closed."""
-        if self._serving:
-            # waits for an event only serve_forever sets, hence the flag
-            self.shutdown()
-            self._serving = False
-        self.close()
+        """End the serving thread `start` began, if any, and release the
+        listening socket."""
         if self._thread is not None:
+            self.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.server_close()

@@ -1,5 +1,6 @@
-"""Every third-party module the package imports is a declared dependency, and
-every name a package module imports is used there."""
+"""Every third-party module the package imports is a declared dependency,
+every name a package module imports is used there, and every Python file
+keeps to the oldest grammar `requires-python` admits."""
 
 from __future__ import annotations
 
@@ -64,8 +65,17 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_every_imported_name_is_used_in_its_module():
-    # __init__.py imports names to re-export them
-    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 10
     unused = {path.name: names for path in modules if (names := _unused_imports(path))}
     assert unused == {}
+
+
+def test_every_python_file_parses_with_the_oldest_supported_grammar():
+    """`requires-python` is >=3.10, so no file may use later syntax such as
+    `except*`, `type X = ...` or PEP 695 generics. This checks grammar only:
+    a standard-library name that 3.10 lacks (`tomllib`) still parses."""
+    files = [path for top in ("src", "tests", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(files) > 30
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
