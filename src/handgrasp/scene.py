@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import HOVER_RADIUS, RELEASE_DWELL, RELEASE_FACTOR, TemplateStore
 from .errors import ParseError
-from .streams import load_template, read_json_object
+from .streams import load_template, read_json_object, require_finite
 
 TARGET_DIAMETER = 0.5  # meters
 DISAPPEAR_DELAY = 1.0  # seconds between a release and the next trial
@@ -91,26 +91,44 @@ class Scene:
         raise KeyError(object_id)
 
 
-def _vec3(raw, field_name: str) -> np.ndarray:
+def _vec3(raw, where: str, field_name: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != 3:
-        raise ParseError(f"field {field_name!r} must be [x, y, z]", field=field_name)
-    return np.asarray([float(v) for v in raw], dtype=np.float64)
+        raise ParseError(f"{where}: {field_name!r} must be [x, y, z]", field=field_name)
+    return require_finite(np.asarray([float(v) for v in raw], dtype=np.float64), where, field_name)
+
+
+def _number(raw, where: str, field_name: str) -> float:
+    return require_finite(float(raw), where, field_name)
+
+
+def _integer(raw, where: str, field_name: str, least: int) -> int:
+    """`raw` as an int of at least `least`; a non-finite or smaller value is
+    a ParseError naming the file and the field."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+        value = None
+    if value is None or value < least:
+        message = f"{where}: {field_name!r} must be an integer >= {least}, got {raw!r}"
+        raise ParseError(message, field=field_name)
+    return value
 
 
 def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
     """Load a scene config and every template file it references."""
     path = Path(path)
+    where = f"scene config {path}"
     document = read_json_object(path, "scene config")
     entries = document.get("objects", [])
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
-        raise ParseError(f"scene config {path}: 'objects' must list JSON objects", field="objects")
+        raise ParseError(f"{where}: 'objects' must list JSON objects", field="objects")
     for entry in entries:
         files = entry.get("templates", [])
         if not isinstance(files, list) or not all(isinstance(rel, str) for rel in files):
-            raise ParseError(f"scene config {path}: 'templates' must list file names", field="templates")
+            raise ParseError(f"{where}: 'templates' must list file names", field="templates")
     for section in ("target", "protocol", "release"):
         if not isinstance(document.get(section, {}), dict):
-            raise ParseError(f"scene config {path}: {section!r} must be a JSON object", field=section)
+            raise ParseError(f"{where}: {section!r} must be a JSON object", field=section)
 
     store = TemplateStore()
     objects: list[SceneObject] = []
@@ -125,8 +143,8 @@ def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
             objects.append(
                 SceneObject(
                     object_id=str(entry["id"]),
-                    position=_vec3(entry["position"], "position"),
-                    bounding_radius=float(entry["bounding_radius"]),
+                    position=_vec3(entry["position"], where, "position"),
+                    bounding_radius=_number(entry["bounding_radius"], where, "bounding_radius"),
                     gesture_names=tuple(names),
                 )
             )
@@ -134,32 +152,36 @@ def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
         target = None
         if "target" in document:
             target = TargetSphere(
-                center=_vec3(document["target"]["center"], "target.center"),
-                diameter=float(document["target"].get("diameter", TARGET_DIAMETER)),
+                center=_vec3(document["target"]["center"], where, "target.center"),
+                diameter=_number(
+                    document["target"].get("diameter", TARGET_DIAMETER), where, "target.diameter"
+                ),
             )
 
         protocol = None
         if "protocol" in document:
             raw = document["protocol"]
             protocol = ProtocolSpec(
-                repeats=int(raw.get("repeats", DEFAULT_REPEATS)),
-                seed=int(raw.get("seed", 0)),
-                reach_min=_vec3(raw["reach_min"], "protocol.reach_min"),
-                reach_max=_vec3(raw["reach_max"], "protocol.reach_max"),
-                disappear_delay=float(raw.get("disappear_delay", DISAPPEAR_DELAY)),
+                repeats=_integer(raw.get("repeats", DEFAULT_REPEATS), where, "protocol.repeats", 1),
+                seed=_integer(raw.get("seed", 0), where, "protocol.seed", 0),
+                reach_min=_vec3(raw["reach_min"], where, "protocol.reach_min"),
+                reach_max=_vec3(raw["reach_max"], where, "protocol.reach_max"),
+                disappear_delay=_number(
+                    raw.get("disappear_delay", DISAPPEAR_DELAY), where, "protocol.disappear_delay"
+                ),
             )
 
         release = ReleaseSpec()
         if "release" in document:
             raw = document["release"]
             release = ReleaseSpec(
-                factor=float(raw.get("factor", RELEASE_FACTOR)),
-                dwell=float(raw.get("dwell", RELEASE_DWELL)),
+                factor=_number(raw.get("factor", RELEASE_FACTOR), where, "release.factor"),
+                dwell=_number(raw.get("dwell", RELEASE_DWELL), where, "release.dwell"),
             )
 
         bands = document.get("color_bands", [GREEN_LIMIT, YELLOW_LIMIT])
         if not isinstance(bands, list) or len(bands) != 2:
-            raise ParseError("field 'color_bands' must be [green, yellow]", field="color_bands")
+            raise ParseError(f"{where}: 'color_bands' must be [green, yellow]", field="color_bands")
 
         scene = Scene(
             scene_id=scene_id,
@@ -167,17 +189,19 @@ def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
             target=target,
             protocol=protocol,
             release=release,
-            hover_radius=float(document.get("hover_radius", HOVER_RADIUS)),
-            green_limit=float(bands[0]),
-            yellow_limit=float(bands[1]),
+            hover_radius=_number(document.get("hover_radius", HOVER_RADIUS), where, "hover_radius"),
+            green_limit=_number(bands[0], where, "color_bands"),
+            yellow_limit=_number(bands[1], where, "color_bands"),
         )
     except KeyError as exc:
-        raise ParseError(f"scene config {path} missing field {exc.args[0]!r}", field=str(exc.args[0])) from exc
+        raise ParseError(f"{where} missing field {exc.args[0]!r}", field=str(exc.args[0])) from exc
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad value in scene config {path}: {exc}", field="scene") from exc
+        raise ParseError(f"bad value in {where}: {exc}", field="scene") from exc
 
     if protocol is not None and target is None:
-        raise ParseError(f"scene config {path} has a protocol but no target", field="target")
+        raise ParseError(f"{where} has a protocol but no target", field="target")
+    if protocol is not None and not objects:
+        raise ParseError(f"{where}: 'objects' must not be empty under a protocol", field="objects")
     return scene, store
 
 

@@ -333,7 +333,17 @@ def read_json_object(path: str | Path, kind: str) -> dict:
     return document
 
 
+def require_finite(value, where: str, field_name: str):
+    """`value`, a number or an array of numbers, once every entry is finite;
+    `where` names the file ("scene config <path>"). JSON admits `NaN`,
+    `Infinity` and `1e999`, which no field of a config file can use."""
+    if not np.isfinite(value).all():
+        raise ParseError(f"{where}: {field_name!r} must be finite", field=field_name)
+    return value
+
+
 def load_template(path: str | Path) -> GestureTemplate:
+    where = f"template {path}"
     document = read_json_object(path, "template")
     version = document.get("format_version")
     if version != TEMPLATE_FORMAT_VERSION:
@@ -351,8 +361,10 @@ def load_template(path: str | Path) -> GestureTemplate:
             name=document["name"],
             object_id=document["object_id"],
             role=document["role"],
-            joints_local=np.asarray(joints_raw, dtype=np.float64),
-            threshold_sum=float(document.get("threshold_sum", DISTANCE_BUDGET)),
+            joints_local=require_finite(np.asarray(joints_raw, dtype=np.float64), where, "joints_local"),
+            threshold_sum=require_finite(
+                float(document.get("threshold_sum", DISTANCE_BUDGET)), where, "threshold_sum"
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad template document in {path}: {exc}", field="template") from exc

@@ -482,6 +482,69 @@ def test_scene_section_of_the_wrong_type_is_a_data_error_naming_it(tmp_path, fie
     assert result.stderr.startswith(f"data error: scene config {config}: {field!r} must ")
 
 
+_OUT_OF_RANGE = [
+    # a protocol that cannot start
+    ("scene.json", ("protocol", "repeats"), "0", "protocol.repeats"),
+    ("scene.json", ("protocol", "seed"), "-1", "protocol.seed"),
+    ("scene.json", ("objects",), "[]", "objects"),
+    # numbers json reads but no field can use
+    ("scene.json", ("objects", 0, "position", 1), "NaN", "position"),
+    ("scene.json", ("objects", 0, "bounding_radius"), "NaN", "bounding_radius"),
+    ("scene.json", ("target", "center", 2), "Infinity", "target.center"),
+    ("scene.json", ("target", "diameter"), "-Infinity", "target.diameter"),
+    ("scene.json", ("protocol", "repeats"), "1e999", "protocol.repeats"),
+    ("scene.json", ("protocol", "seed"), "NaN", "protocol.seed"),
+    ("scene.json", ("protocol", "reach_min", 0), "-Infinity", "protocol.reach_min"),
+    ("scene.json", ("protocol", "reach_max", 1), "1e999", "protocol.reach_max"),
+    ("scene.json", ("protocol", "disappear_delay"), "Infinity", "protocol.disappear_delay"),
+    ("scene.json", ("release", "factor"), "NaN", "release.factor"),
+    ("scene.json", ("release", "dwell"), "1e999", "release.dwell"),
+    ("scene.json", ("hover_radius",), "-Infinity", "hover_radius"),
+    ("scene.json", ("color_bands", 0), "NaN", "color_bands"),
+    ("nail-grasp.gesture", ("threshold_sum",), "NaN", "threshold_sum"),
+    ("nail-grasp.gesture", ("joints_local", 3, 1), "Infinity", "joints_local"),
+]
+
+
+@pytest.mark.parametrize(
+    "file_name, keys, token, field",
+    _OUT_OF_RANGE,
+    ids=[f"{field}={token}" for *_, token, field in _OUT_OF_RANGE],
+)
+def test_scene_or_template_number_out_of_range_is_a_data_error_naming_it(tmp_path, file_name, keys, token, field):
+    demo = _demo_copy(tmp_path)
+    _write_token(demo / file_name, keys, token)
+    result = _recognize_still_hand(tmp_path, demo / "scene.json")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    kind = "scene config" if file_name == "scene.json" else "template"
+    assert result.stderr.startswith(f"data error: {kind} {demo / file_name}: {field!r} must ")
+
+
+def test_serve_refuses_a_scene_whose_protocol_cannot_start(tmp_path):
+    demo = _demo_copy(tmp_path)
+    _write_token(demo / "scene.json", ("protocol", "repeats"), "0")
+    result = subprocess.run(
+        [sys.executable, "-m", "handgrasp", "serve", "--port", "0", "--scene", str(demo / "scene.json")],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"data error: scene config {demo / 'scene.json'}: 'protocol.repeats' must ")
+
+
+def _write_token(path: Path, keys: tuple, token: str) -> None:
+    """Rewrite the JSON file at `path` with the value under `keys` spelt as
+    the raw JSON `token` (which may be `NaN`, `Infinity` or `1e999`)."""
+    document = json.loads(path.read_text())
+    *parents, last = keys
+    node = document
+    for key in parents:
+        node = node[key]
+    node[last] = "\0"
+    path.write_text(json.dumps(document).replace('"\\u0000"', token))
+
+
 def _demo_copy(tmp_path: Path) -> Path:
     demo = tmp_path / "demo"
     demo.mkdir()
