@@ -282,27 +282,24 @@ class CaptureSession:
         self.template_name = template_name
         self.role = role
         self.hover_radius = hover_radius
-        self.state = "idle"
         self.progress = 0.0
         self._stillness = StillnessWindow()
         self._hold_start: float | None = None
         self._last_timestamp: float | None = None
 
     def _reset(self) -> CaptureEvent:
-        self.state = "idle"
         self.progress = 0.0
         self._hold_start = None
         self._stillness.reset()
         return CaptureEvent("reset", 0.0)
 
     def step(self, frame: HandFrame) -> CaptureEvent:
-        if self.state == "captured":
+        if self.progress >= 1.0:
             raise InvalidArgument("capture session already completed")
         if (
             self._last_timestamp is not None
             and frame.timestamp - self._last_timestamp > TRACKING_TIMEOUT
         ):
-            self.state = "aborted"
             raise HandLost(
                 f"no frame for {frame.timestamp - self._last_timestamp:.3f} s during capture"
             )
@@ -314,7 +311,6 @@ class CaptureSession:
 
         if not self._stillness.update(frame):
             # movement restarts the hold at this frame
-            self.state = "idle"
             self.progress = 0.0
             self._hold_start = frame.timestamp
             return CaptureEvent("reset", 0.0)
@@ -330,9 +326,7 @@ class CaptureSession:
                 role=self.role,
                 joints_local=canonicalize(frame).joints_local,
             )
-            self.state = "captured"
             return CaptureEvent("captured", 1.0, template)
-        self.state = "holding"
         return CaptureEvent("progress", self.progress)
 
 

@@ -98,7 +98,12 @@ def _vec3(raw, where: str, field_name: str) -> np.ndarray:
 
 
 def _number(raw, where: str, field_name: str) -> float:
-    return require_finite(float(raw), where, field_name)
+    """`raw` as a finite float >= 0: every plain number a scene holds is a size,
+    a duration, a factor or a band limit, and none of them can be negative."""
+    value = require_finite(float(raw), where, field_name)
+    if value < 0.0:
+        raise ParseError(f"{where}: {field_name!r} must be >= 0, got {value!r}", field=field_name)
+    return value
 
 
 def _integer(raw, where: str, field_name: str, least: int) -> int:

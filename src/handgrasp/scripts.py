@@ -125,10 +125,10 @@ def script_protocol_run(scene: Scene, technique: str):
         if technique == "controller":
             _controller_trial(builder, obj, release_at, settle)
         elif technique == "pinch":
-            _pinch_trial(builder, obj, release_at, settle)
+            _pose_trial(builder, obj, release_at, settle, "pinch", 0.35)
         else:
             kind = template_kind_for(object_index[obj.object_id])
-            _template_trial(builder, obj, release_at, settle, kind)
+            _pose_trial(builder, obj, release_at, settle, kind, 0.2)
     return builder.frames()
 
 
@@ -141,25 +141,15 @@ def _controller_trial(b: ScriptBuilder, obj: SceneObject, release_at, settle: fl
     b.hold(0.55, grip=False)  # falling edge releases at the target
 
 
-def _pinch_trial(b: ScriptBuilder, obj: SceneObject, release_at, settle: float) -> None:
-    b.move(obj.position, 0.5, kind="open")
-    b.hold(0.12)
-    b.morph("pinch", 0.15)
-    b.hold(0.35)  # debounce elapses here -> grab
-    b.move(release_at, 0.6)
-    b.hold(settle)
-    b.morph("open", 0.15)  # un-pinch; debounce elapses -> release
-    b.hold(0.55)
-
-
-def _template_trial(
-    b: ScriptBuilder, obj: SceneObject, release_at, settle: float, kind: str
+def _pose_trial(
+    b: ScriptBuilder, obj: SceneObject, release_at, settle: float, kind: str, grab_hold: float
 ) -> None:
+    """Grab by shaping the hand into `kind`: a pinch, or a template's pose."""
     b.move(obj.position, 0.5, kind="open")
     b.hold(0.12)
-    b.morph(kind, 0.15)  # crosses the match budget near the end -> grab
-    b.hold(0.2)
+    b.morph(kind, 0.15)  # a template pose crosses the match budget near the end -> grab
+    b.hold(grab_hold)  # a pinch's debounce elapses here -> grab
     b.move(release_at, 0.6)
     b.hold(settle)
-    b.morph("open", 0.15)  # sustained deviation -> release
+    b.morph("open", 0.15)  # un-pinch, or a template's sustained deviation -> release
     b.hold(0.55)

@@ -105,19 +105,20 @@ def read_results(path: str | Path) -> list[TrialResult]:
                     line_no=line_no,
                     field="row",
                 )
-            try:
-                results.append(
-                    TrialResult(
-                        technique=row[0],
-                        object_id=row[1],
-                        accuracy=float(row[2]),
-                        tct=float(row[3]),
-                        dropped=row[4] == "true",
-                        band=row[5],
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no=line_no, field="row") from exc
+            numbers = []
+            for field, text in (("accuracy_m", row[2]), ("tct_s", row[3])):
+                try:
+                    numbers.append(float(text))
+                except ValueError:
+                    numbers.append(math.nan)
+                if not math.isfinite(numbers[-1]):
+                    message = f"{path}: {field!r} must be a finite number, got {text!r}"
+                    raise ParseError(message, line_no=line_no, field=field)
+            if row[4] not in ("true", "false"):
+                message = f"{path}: 'dropped' must be true or false, got {row[4]!r}"
+                raise ParseError(message, line_no=line_no, field="dropped")
+            accuracy, tct = numbers
+            results.append(TrialResult(row[0], row[1], accuracy, tct, row[4] == "true", row[5]))
     return results
 
 
@@ -286,9 +287,7 @@ def write_frames(path: str | Path, frames: Iterable[HandFrame]) -> None:
             fh.write("\n")
 
 
-def read_frames(
-    path: str | Path, on_warning: Callable[[str], None] | None = None
-) -> Iterator[HandFrame]:
+def read_frames(path: str | Path) -> Iterator[HandFrame]:
     """Yield frames from a `.frames` file; blank lines are skipped.
 
     Lines are split and decoded as the server splits and decodes them: a
@@ -299,7 +298,7 @@ def read_frames(
             text = line.decode("utf-8", errors="replace").strip()
             if not text:
                 continue
-            yield parse_frame_line(text, line_no=line_no, on_warning=on_warning)
+            yield parse_frame_line(text, line_no=line_no)
 
 
 # ── gesture template files ─────────────────────────────────────────────────

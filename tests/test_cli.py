@@ -128,7 +128,7 @@ def test_module_invocation_matches_console_script():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only `stats` needs scipy; every other subcommand should not pay its import
+    # scipy is a test oracle, not a runtime dependency: no subcommand pays its import
     probe = "import sys, handgrasp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             timeout=120, env=CHILD_ENV)
@@ -500,6 +500,10 @@ _OUT_OF_RANGE = [
     ("scene.json", ("release", "factor"), "NaN", "release.factor"),
     ("scene.json", ("release", "dwell"), "1e999", "release.dwell"),
     ("scene.json", ("hover_radius",), "-Infinity", "hover_radius"),
+    # sizes below zero, with which nothing ever hovers or places
+    ("scene.json", ("hover_radius",), "-0.01", "hover_radius"),
+    ("scene.json", ("objects", 0, "bounding_radius"), "-0.02", "bounding_radius"),
+    ("scene.json", ("target", "diameter"), "-0.1", "target.diameter"),
     ("scene.json", ("color_bands", 0), "NaN", "color_bands"),
     ("nail-grasp.gesture", ("threshold_sum",), "NaN", "threshold_sum"),
     ("nail-grasp.gesture", ("joints_local", 3, 1), "Infinity", "joints_local"),
@@ -713,17 +717,47 @@ def test_stats_over_golden_results():
     assert any(line.startswith("anova tct: F(2,69)=") for line in lines)
 
 
+_GOLDEN_RESULTS = [str(path) for path in sorted(GOLDEN.glob("results_*.csv"))]
+_GOLDEN_STATS_STDOUT = (
+    "technique trials drops accuracy_mean accuracy_sd tct_mean tct_sd\n"
+    "controller 24 0 0.00944326 0.0026546 1.11713 0.0320994\n"
+    "custom 24 0 0.00880038 0.00359825 1.13426 0.0343511\n"
+    "grab 24 0 0.00939517 0.0023424 1.17361 0.0328977\n"
+    "pinch 24 0 0.00952999 0.00325979 1.24352 0.032089\n"
+    "anova accuracy: F(3,92)=0.294102 p=0.829565\n"
+    "anova tct: F(3,92)=70.0195 p=1.14955e-23\n"
+)
+
+
 def test_stats_stdout_over_every_golden_results_file_is_pinned():
-    result = _run("stats", "--results", *(str(path) for path in sorted(GOLDEN.glob("results_*.csv"))))
+    result = _run("stats", "--results", *_GOLDEN_RESULTS)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == (
-        "technique trials drops accuracy_mean accuracy_sd tct_mean tct_sd\n"
-        "controller 24 0 0.00944326 0.0026546 1.11713 0.0320994\n"
-        "custom 24 0 0.00880038 0.00359825 1.13426 0.0343511\n"
-        "grab 24 0 0.00939517 0.0023424 1.17361 0.0328977\n"
-        "pinch 24 0 0.00952999 0.00325979 1.24352 0.032089\n"
-        "anova accuracy: F(3,92)=0.294102 p=0.829565\n"
-        "anova tct: F(3,92)=70.0195 p=1.14955e-23\n"
+    assert result.stdout == _GOLDEN_STATS_STDOUT
+
+
+def test_stats_needs_no_scipy():
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    blocked = "import sys; sys.modules['scipy'] = None; " + _ENTRY_POINT
+    result = subprocess.run(
+        [sys.executable, "-c", blocked, "stats", "--results", *_GOLDEN_RESULTS],
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == _GOLDEN_STATS_STDOUT
+
+
+def test_stats_number_it_cannot_use_is_a_data_error_naming_line_and_field(tmp_path):
+    lines = (GOLDEN / "results_pinch.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "nan"
+    lines[1] = ",".join(cells)
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    result = _run("stats", "--results", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"data error: {path}: 'accuracy_m' must be a finite number, got 'nan' (line 2, field accuracy_m)\n"
     )
 
 

@@ -45,10 +45,18 @@ def test_every_third_party_import_is_declared_in_pyproject():
         names = _top_level_imports(path) - set(sys.stdlib_module_names) - {"handgrasp"}
         if names:
             third_party[path.name] = names
-    # the scan sees the imports it must: numpy at module level, scipy in a function
-    assert {"numpy", "orjson", "scipy"} <= set().union(*third_party.values())
+    assert set().union(*third_party.values()) == {"numpy", "orjson"}
     undeclared = {name: sorted(names - declared) for name, names in third_party.items() if names - declared}
     assert undeclared == {}
+
+
+def test_the_import_scan_sees_imports_inside_functions(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "import numpy as np\nfrom os import path\nfrom . import sibling\n\n\n"
+        "def late():\n    import scipy.special\n    from orjson import loads\n"
+    )
+    assert _top_level_imports(source) == {"numpy", "os", "scipy", "orjson"}
 
 
 def _unused_imports(path: Path) -> list[str]:

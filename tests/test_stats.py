@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
+from handgrasp import stats
 from handgrasp.errors import DegenerateInput, EmptyInput
 from handgrasp.stats import anova_oneway, describe, f_tail
 
@@ -149,6 +151,40 @@ def test_f_tail_bounds_and_monotonicity():
         p = f_tail(f, 2, 51)
         assert 0.0 <= p <= prev <= 1.0
         prev = p
+
+
+def test_f_tail_matches_scipy_betainc_over_a_grid():
+    # df_between 1-20 covers both paths: integer b (the finite sum) and
+    # half-integer b (the continued fraction); df_within reaches 10,000
+    df_within = [*range(1, 30), 40, 60, 100, 150, 200, 300, 500, 1000, 2000, 5000, 10_000]
+    worst_rel = worst_abs = 0.0
+    for dfb in range(1, 21):
+        for dfw in df_within:
+            for f in np.logspace(-6, 4, 40):
+                p = f_tail(float(f), dfb, dfw)
+                x = dfw / (dfw + dfb * float(f))
+                expected = float(scipy.special.betainc(dfw / 2.0, dfb / 2.0, x))
+                worst_abs = max(worst_abs, abs(p - expected))
+                if expected >= 1e-100:
+                    worst_rel = max(worst_rel, abs(p - expected) / expected)
+    assert worst_rel <= 1e-10
+    assert worst_abs <= 1e-11
+
+
+def test_f_tail_edges_follow_betainc():
+    for dfb, dfw in ((2, 6), (3, 92), (1, 1)):
+        assert f_tail(0.0, dfb, dfw) == 1.0
+        assert f_tail(-2.5, dfb, dfw) == 1.0
+        assert f_tail(math.inf, dfb, dfw) == 0.0
+        # NaN returns before either path: integer b (2, 6), half-integer b (3, 92)
+        assert math.isnan(f_tail(math.nan, dfb, dfw))
+
+
+def test_f_tail_raises_rather_than_return_an_unconverged_fraction(monkeypatch):
+    assert f_tail(0.294102, 3, 92) == pytest.approx(0.829565, abs=1e-6)
+    monkeypatch.setattr(stats, "_LENTZ_MAX_STEPS", 2)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        f_tail(0.294102, 3, 92)
 
 
 # ── anova: degenerate inputs ─────────────────────────────────────────────

@@ -19,6 +19,7 @@ from handgrasp.streams import (
     FIST_TIP_REACH,
     PINCH_TIP_GAP,
     POSE_KINDS,
+    RESULTS_HEADER,
     ScriptBuilder,
     TrialResult,
     format_frame_line,
@@ -452,6 +453,35 @@ def test_results_round_trip(tmp_path):
     assert text[2].endswith("true,red")
     back = read_results(path)
     assert back == results
+
+
+@pytest.mark.parametrize(
+    "field, token",
+    [
+        ("accuracy_m", "nan"),
+        ("accuracy_m", "-inf"),
+        ("accuracy_m", ""),
+        ("tct_s", "inf"),
+        ("tct_s", "Infinity"),
+        ("tct_s", "1.5s"),
+        ("dropped", "True"),
+        ("dropped", "1"),
+        ("dropped", "yes"),
+        ("dropped", ""),
+    ],
+)
+def test_results_cell_that_cannot_be_used_is_a_parse_error_naming_line_and_field(tmp_path, field, token):
+    path = tmp_path / "results.csv"
+    write_results(path, [TrialResult("pinch", "ball", 0.0123, 1.5, False, "green")] * 2)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[RESULTS_HEADER.index(field)] = token
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_results(path)
+    assert (err.value.line_no, err.value.field) == (3, field)
+    assert f"{field!r} must be " in str(err.value)
 
 
 # ── synthetic poses ──────────────────────────────────────────────────────
