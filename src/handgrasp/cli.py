@@ -9,9 +9,10 @@ geometry / tracking / time going backwards), 3 protocol violation
 from __future__ import annotations
 
 import argparse
+import math
 import signal
+import socket
 import sys
-import threading
 
 from .engine import CaptureSession
 from .errors import (
@@ -56,7 +57,24 @@ def _vec3_arg(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in parts)
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"expected finite x,y,z, got {text!r}")
+    return values
+
+
+def _finite_arg(strict: bool):
+    """An argparse type: a finite number above 0 when `strict`, else at least 0."""
+
+    def finite_number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < 0 or (strict and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'>' if strict else '>='} 0, got {text!r}"
+            )
+        return value
+
+    return finite_number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic pose stream")
     p.add_argument("--pose", required=True, choices=POSE_KINDS)
-    p.add_argument("--duration", type=float, required=True, help="seconds")
-    p.add_argument("--rate", type=float, default=TRACKER_RATE, help="frames per second")
-    p.add_argument("--sigma", type=float, default=0.0, help="per-coordinate noise SD, meters")
+    p.add_argument("--duration", type=_finite_arg(strict=False), required=True, help="seconds")
+    p.add_argument("--rate", type=_finite_arg(strict=True), default=TRACKER_RATE, help="frames per second")
+    p.add_argument("--sigma", type=_finite_arg(strict=False), default=0.0, help="per-coordinate noise SD, meters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--side", default="right", choices=("left", "right"))
     p.add_argument("--at", type=_vec3_arg, default=(0.0, 0.0, 0.0), help="wrist position x,y,z")
@@ -226,25 +244,27 @@ def _cmd_serve(args) -> int:
         scenes[scene.scene_id] = (scene, store)
     srv = GraspServer(scenes, host=args.host, port=args.port)
     host, port = srv.address
-    # A KeyboardInterrupt raised while socketserver starts a handler thread
-    # can break that thread's start lock and be swallowed, leaving the
-    # server up; so SIGINT asks serve_forever to return instead. shutdown()
-    # waits for that, hence the helper thread.
-    interrupted = threading.Event()
-
-    def shutdown_when_interrupted() -> None:
-        interrupted.wait()
-        srv.shutdown()
-
-    threading.Thread(target=shutdown_when_interrupted, daemon=True).start()
-    previous = signal.signal(signal.SIGINT, lambda signum, frame: interrupted.set())
+    # The main thread waits for SIGINT on a socket that Python's C-level
+    # handler writes the signal number to, from whichever thread the signal
+    # lands on. The Python-level handler does nothing: it takes no lock, so
+    # a second SIGINT cannot deadlock it, and it raises no KeyboardInterrupt
+    # into the server while it starts a handler thread or stops.
+    wake, wakeup = socket.socketpair()
+    wakeup.setblocking(False)
+    previous_fd = signal.set_wakeup_fd(wakeup.fileno(), warn_on_full_buffer=False)
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: None)
     try:
+        srv.start()
         # flushed, so a supervisor reading a pipe learns the port at once
         print(f"serving {len(scenes)} scene(s) on {host}:{port}", flush=True)
-        srv.serve_forever()
+        while wake.recv(1) != bytes([signal.SIGINT]):
+            pass
     finally:
+        srv.stop()
         signal.signal(signal.SIGINT, previous)
-        srv.server_close()
+        signal.set_wakeup_fd(previous_fd)
+        wake.close()
+        wakeup.close()
     return EXIT_OK
 
 

@@ -5,10 +5,11 @@ template when the summed per-joint Euclidean distance stays within the
 template's budget (default 0.05 m, boundary inclusive). One broadcasting
 kernel computes that sum, for one template (`pose_distance`,
 `match_score`) or a stack of them (`recognize`), with the same bits.
-Matching is hover-gated: only templates attached to currently hovered
-objects are ever evaluated. `hover_update` measures each object once per
-frame, where a pose map puts it, and returns the distances, from which
-direct grabs pick the nearest hovered object. Authoring a template is a
+Matching is hover-gated: only templates owned by currently hovered
+objects are ever evaluated, and a template's `object_id` names its one
+owner. `hover_update` measures each object once per frame, where a pose
+map puts it, and returns the distances, from which direct grabs pick the
+nearest hovered object, and the hovered ids. Authoring a template is a
 hold gesture: keep the hand still near the target object for a fixed
 duration and the pose at the completing frame becomes the template.
 
@@ -97,13 +98,14 @@ def match_score(current: CanonicalHand, template: GestureTemplate) -> float | No
 class TemplateStore:
     """Holds templates by name and serves stacked arrays for matching.
 
-    Safe for shared concurrent reads once populated; do not add
-    templates while other threads are matching against the store.
+    A template belongs to the object its `object_id` names. Safe for shared
+    concurrent reads once populated; do not add templates while other
+    threads are matching against the store.
     """
 
     def __init__(self):
         self._templates: dict[str, GestureTemplate] = {}
-        self._stacks: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._stacks: dict[tuple[frozenset[str], str], tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
 
     def add(self, template: GestureTemplate) -> None:
         if template.name in self._templates:
@@ -117,14 +119,23 @@ class TemplateStore:
     def __len__(self) -> int:
         return len(self._templates)
 
-    def stack(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(joints (n,25,3), budgets (n,)) for the given names, cached."""
-        cached = self._stacks.get(names)
+    def stack(self, object_ids: frozenset[str], role: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """(sorted names, joints (n,25,3), budgets (n,)) of the `role` templates
+        that the objects `object_ids` own, cached per (object_ids, role)."""
+        key = (object_ids, role)
+        cached = self._stacks.get(key)
         if cached is None:
-            joints = np.stack([self._templates[n].joints_local for n in names])
-            budgets = np.array([self._templates[n].threshold_sum for n in names])
-            cached = (joints, budgets)
-            self._stacks[names] = cached
+            owned = [
+                template
+                for _, template in sorted(self._templates.items())
+                if template.object_id in object_ids and template.role == role
+            ]
+            cached = (
+                tuple(template.name for template in owned),
+                np.array([template.joints_local for template in owned]).reshape(-1, JOINT_COUNT, 3),
+                np.array([template.threshold_sum for template in owned]),
+            )
+            self._stacks[key] = cached
         return cached
 
 
@@ -133,34 +144,6 @@ class Match:
     gesture: str
     object_id: str
     score: float
-
-
-class ContextRegistry:
-    """Tracks which objects are hovered and which gestures that enables."""
-
-    def __init__(self, hover_radius: float = HOVER_RADIUS):
-        self.hover_radius = hover_radius
-        self._by_object: dict[str, tuple[str, ...]] = {}
-        self._active: tuple[str, ...] | None = ()
-
-    def register(self, object_id: str, gesture_names: tuple[str, ...]) -> None:
-        self._by_object[object_id] = tuple(gesture_names)
-        self._active = None
-
-    def unregister(self, object_id: str) -> None:
-        self._by_object.pop(object_id, None)
-        self._active = None
-
-    def is_registered(self, object_id: str) -> bool:
-        return object_id in self._by_object
-
-    def registered_gestures(self) -> tuple[str, ...]:
-        if self._active is None:
-            names: set[str] = set()
-            for gestures in self._by_object.values():
-                names.update(gestures)
-            self._active = tuple(sorted(names))
-        return self._active
 
 
 def surface_distance(frame: HandFrame, position, bounding_radius: float) -> float:
@@ -176,56 +159,44 @@ class HoverEvent:
 
 
 def hover_update(
-    frame: HandFrame, objects, poses: dict[str, RigidTransform], registry: ContextRegistry
-) -> tuple[list[HoverEvent], dict[str, float]]:
+    frame: HandFrame,
+    objects,
+    poses: dict[str, RigidTransform],
+    hovered: frozenset[str],
+    hover_radius: float,
+) -> tuple[list[HoverEvent], dict[str, float], frozenset[str]]:
     """Edge-triggered hover tracking over the listed objects, where `poses` puts them now.
 
-    Entering the hover radius registers an object's gestures, leaving it
-    unregisters them. Objects need `object_id`, `bounding_radius` and
-    `gesture_names`. Returns the edges and each object's surface distance by
-    id, computed once per frame, for callers that pick among the hovered.
+    `hovered` holds the ids hovered before this frame. Objects need
+    `object_id` and `bounding_radius`. Returns the edges, each object's
+    surface distance by id (computed once per frame, for callers that pick
+    among the hovered) and the ids hovered after this frame.
     """
     events: list[HoverEvent] = []
     distances: dict[str, float] = {}
     for obj in objects:
         distance = surface_distance(frame, poses[obj.object_id].translation, obj.bounding_radius)
         distances[obj.object_id] = distance
-        hovered = distance <= registry.hover_radius
-        was_hovered = registry.is_registered(obj.object_id)
-        if hovered and not was_hovered:
-            registry.register(obj.object_id, obj.gesture_names)
-            events.append(HoverEvent("hover", obj.object_id, frame.timestamp))
-        elif not hovered and was_hovered:
-            registry.unregister(obj.object_id)
-            events.append(HoverEvent("unhover", obj.object_id, frame.timestamp))
-    return events, distances
+        inside = distance <= hover_radius
+        if inside != (obj.object_id in hovered):
+            events.append(HoverEvent("hover" if inside else "unhover", obj.object_id, frame.timestamp))
+    if events:
+        hovered = hovered ^ {event.object_id for event in events}  # each edge flips one object
+    return events, distances, hovered
 
 
 def recognize(
-    current: CanonicalHand,
-    registry: ContextRegistry,
-    store: TemplateStore,
-    role: str | None = None,
-    object_id: str | None = None,
+    current: CanonicalHand, hovered: frozenset[str], store: TemplateStore, role: str
 ) -> Match | None:
-    """Best matching registered template, or None.
+    """Best matching `role` template of a hovered object, or None.
 
-    Only gestures registered via hover are evaluated. The lowest
-    distance wins; exact ties go to the lexicographically smallest
-    name. `role` and `object_id` narrow the candidate set (used for
-    release detection on the grabbed object).
+    Only the templates that the `hovered` objects own are evaluated. The
+    lowest distance wins; exact ties go to the lexicographically smallest
+    name.
     """
-    names = registry.registered_gestures()
-    if role is not None or object_id is not None:
-        names = tuple(
-            n
-            for n in names
-            if (role is None or store.get(n).role == role)
-            and (object_id is None or store.get(n).object_id == object_id)
-        )
+    names, joints, budgets = store.stack(hovered, role)
     if not names:
         return None
-    joints, budgets = store.stack(names)
     sums = _distance_sums(current.joints_local, joints)
     matched = sums <= budgets  # any single joint past the budget implies sum > budget
     if not matched.any():
@@ -419,15 +390,13 @@ class TemplateIntent:
         tracker: GrabTracker,
         timestamp: float,
         current: CanonicalHand,
-        registry: ContextRegistry,
+        hovered: frozenset[str],
     ) -> Match | str | None:
         if not tracker.grabbed:
             self._deviation_since = None
-            return recognize(current, registry, self.store, role=ROLE_GRAB)
+            return recognize(current, hovered, self.store, ROLE_GRAB)
         if self.release_policy == "template":
-            match = recognize(
-                current, registry, self.store, role=ROLE_RELEASE, object_id=tracker.grabbed_object
-            )
+            match = recognize(current, hovered & {tracker.grabbed_object}, self.store, ROLE_RELEASE)
             return RELEASE if match is not None else None
         template = self.store.get(tracker.grabbing_gesture)
         if pose_distance(current, template) > self.release_factor * template.threshold_sum:

@@ -1,10 +1,10 @@
 """Scene and protocol configuration.
 
-A scene lists the tangible objects (position, bounding sphere, attached
-gesture template files), the placement target, and the trial protocol
-parameters. Configs are single JSON documents; template paths are
-resolved relative to the config file so a scene directory is
-self-contained and relocatable.
+A scene lists the tangible objects (unique id, position, bounding sphere,
+the gesture template files the object owns), the placement target, and
+the trial protocol parameters. Configs are single JSON documents;
+template paths are resolved relative to the config file so a scene
+directory is self-contained and relocatable.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ DEFAULT_REPEATS = 3
 
 @dataclass(frozen=True)
 class SceneObject:
-    """A tangible object: where it starts and which gestures it carries."""
+    """A tangible object and where it starts; the templates whose `object_id`
+    is this object's id are its gestures."""
 
     object_id: str
     position: np.ndarray  # (3,) start position, world meters
     bounding_radius: float
-    gesture_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
@@ -120,7 +120,11 @@ def _integer(raw, where: str, field_name: str, least: int) -> int:
 
 
 def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
-    """Load a scene config and every template file it references."""
+    """Load a scene config and every template file it references.
+
+    Object ids are unique, and every template an object lists must name
+    that object as its `object_id`.
+    """
     path = Path(path)
     where = f"scene config {path}"
     document = read_json_object(path, "scene config")
@@ -140,17 +144,23 @@ def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
     try:
         scene_id = str(document["scene_id"])
         for entry in entries:
-            names: list[str] = []
+            object_id = str(entry["id"])
+            if any(obj.object_id == object_id for obj in objects):
+                raise ParseError(f"{where}: 'id' must be unique, got {object_id!r} twice", field="id")
             for rel in entry.get("templates", []):
                 template = load_template(path.parent / rel)
+                if template.object_id != object_id:
+                    raise ParseError(
+                        f"template {path.parent / rel}: 'object_id' must be {object_id!r}, "
+                        f"the object that lists it, got {template.object_id!r}",
+                        field="object_id",
+                    )
                 store.add(template)
-                names.append(template.name)
             objects.append(
                 SceneObject(
-                    object_id=str(entry["id"]),
+                    object_id=object_id,
                     position=_vec3(entry["position"], where, "position"),
                     bounding_radius=_number(entry["bounding_radius"], where, "bounding_radius"),
-                    gesture_names=tuple(names),
                 )
             )
 

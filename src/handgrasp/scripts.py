@@ -81,14 +81,7 @@ def build_demo_scene(directory: str | Path, scene_id: str = "demo", seed: int = 
             save_template(directory / file_name, template)
             names.append(file_name)
         template_paths[object_id] = names
-        objects.append(
-            SceneObject(
-                object_id=object_id,
-                position=position,
-                bounding_radius=radius,
-                gesture_names=(grab.name, release.name),
-            )
-        )
+        objects.append(SceneObject(object_id, position, radius))
     scene = Scene(
         scene_id=scene_id,
         objects=tuple(objects),

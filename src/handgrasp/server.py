@@ -23,9 +23,9 @@ one write before its next blocking read. The socket has TCP_NODELAY
 set, so that write leaves at once instead of waiting for the client to
 acknowledge the previous one.
 
-`handgrasp serve` runs the inherited `serve_forever` on its main thread;
-tests and embedders use `GraspServer.start` and `stop` instead, which
-serve on a background thread.
+`handgrasp serve`, tests and embedders all serve through
+`GraspServer.start` and `stop`, which run the inherited `serve_forever`
+on a background thread.
 """
 
 from __future__ import annotations

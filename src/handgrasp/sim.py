@@ -32,7 +32,6 @@ import numpy as np
 
 from .engine import (
     RELEASE,
-    ContextRegistry,
     GrabTracker,
     Match,
     TemplateIntent,
@@ -146,7 +145,7 @@ class SessionEngine:
         self.scene = scene
         self.store = store
         self.technique = technique
-        self.registry = ContextRegistry(scene.hover_radius)
+        self.hovered: frozenset[str] = frozenset()
         self.results: list[TrialResult] = []
         self.finished = False
         self._last_time: float | None = None
@@ -212,7 +211,7 @@ class SessionEngine:
         )
         kind = "dropped" if dropped else "placed"
         lines = [f"{kind} {object_id} {_fmt(accuracy)} {_fmt(timestamp)}"]
-        self.registry.unregister(object_id)
+        self.hovered = self.hovered - {object_id}
         self._active = None
         self._trial += 1
         if self._trial >= len(self._sequence):
@@ -252,14 +251,14 @@ class SessionEngine:
             self._begin_trial(self._sequence[self._trial])
 
         # hover reads object_poses, so a held object stays hovered in transit
-        events, distances = hover_update(
-            frame, self._present_objects(), self.object_poses, self.registry
+        events, distances, self.hovered = hover_update(
+            frame, self._present_objects(), self.object_poses, self.hovered, self.scene.hover_radius
         )
         lines = [f"{event.kind} {event.object_id} {_fmt(event.timestamp)}" for event in events]
 
         if self._template_intent is not None:
             intent = self._template_intent.decide(
-                self._tracker, frame.timestamp, hand, self.registry
+                self._tracker, frame.timestamp, hand, self.hovered
             )
         elif self._pinch is not None:
             intent = self._pinch_intent(frame, distances, lines)
@@ -299,12 +298,8 @@ class SessionEngine:
 
     def _nearest_hovered(self, distances: dict[str, float], label: str) -> Match | None:
         """A direct grab of the nearest hovered object, scored 0; ties go to the smaller id."""
-        hovered = [
-            (distance, object_id)
-            for object_id, distance in distances.items()
-            if self.registry.is_registered(object_id)
-        ]
-        return Match(label, min(hovered)[1], 0.0) if hovered else None
+        nearest = min(((distances[object_id], object_id) for object_id in self.hovered), default=None)
+        return Match(label, nearest[1], 0.0) if nearest else None
 
     def summary(self) -> RunSummary:
         return summarize(self.results, self.technique)

@@ -25,7 +25,7 @@ def demo_config(demo_dir: Path) -> Path:
 
 @pytest.fixture()
 def demo(demo_config: Path):
-    # reloaded per test: stores and registries are mutable
+    # reloaded per test: template stores are mutable
     return load_scene(demo_config)
 
 

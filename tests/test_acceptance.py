@@ -21,7 +21,6 @@ import pytest
 from handgrasp.engine import (
     DISTANCE_BUDGET,
     CaptureSession,
-    ContextRegistry,
     GestureTemplate,
     TemplateStore,
     match_score,
@@ -101,11 +100,10 @@ def test_criterion_1_distance_budget_boundary():
 
         store = TemplateStore()
         store.add(template)
-        registry = ContextRegistry()
-        registry.register("anchor", ("probe",))
-        hit = recognize(at_budget, registry, store)
+        hovered = frozenset({"anchor"})
+        hit = recognize(at_budget, hovered, store, "grab")
         assert hit is not None and hit.score == 0.05
-        assert recognize(past_budget, registry, store) is None
+        assert recognize(past_budget, hovered, store, "grab") is None
         assert time.perf_counter() - started < 1.0
 
 
@@ -170,13 +168,13 @@ def test_criterion_3_fast_recognizer_equals_brute_force(shipped):
     with _criterion(3, "recognizer equals brute force over randomized hover states"):
         started = time.perf_counter()
         scene, store = shipped
-        grabs = {obj.object_id: obj.gesture_names[0] for obj in scene.objects}
+        grabs = {obj.object_id: f"{obj.object_id}-grasp" for obj in scene.objects}
+        assert all(store.get(name).role == "grab" for name in grabs.values())
         object_ids = sorted(grabs)
         locals_by_name = {name: store.get(name).joints_local for name in grabs.values()}
         names_pool = sorted(grabs.values())
 
         rng = np.random.default_rng(31)
-        registry = ContextRegistry()
         mismatches = 0
         for _ in range(1000):
             base = locals_by_name[names_pool[int(rng.integers(8))]]
@@ -186,11 +184,8 @@ def test_criterion_3_fast_recognizer_equals_brute_force(shipped):
             current = canonicalize(frame)
 
             hovered = [oid for oid in object_ids if rng.random() < 0.6]
-            registry = ContextRegistry()
-            for oid in hovered:
-                registry.register(oid, (grabs[oid],))
 
-            fast = recognize(current, registry, store)
+            fast = recognize(current, frozenset(hovered), store, "grab")
             slow = _brute_force(current, sorted(grabs[o] for o in hovered), store)
             if (fast is None) != (slow is None):
                 mismatches += 1
@@ -478,12 +473,10 @@ def test_criterion_11_server_library_differential(shipped):
 def test_criterion_12_throughput(shipped):
     with _criterion(12, "recognizer sustains >= 10,000 frames/s with 8 templates (soft)"):
         scene, store = shipped
-        registry = ContextRegistry()
-        for obj in scene.objects:
-            registry.register(obj.object_id, (obj.gesture_names[0],))
+        hovered = frozenset(obj.object_id for obj in scene.objects)
 
         rng = np.random.default_rng(99)
-        grabs = sorted(obj.gesture_names[0] for obj in scene.objects)
+        grabs = sorted(f"{obj.object_id}-grasp" for obj in scene.objects)
         currents = []
         for i in range(2000):
             base = store.get(grabs[i % 8]).joints_local
@@ -497,7 +490,7 @@ def test_criterion_12_throughput(shipped):
             started = time.perf_counter()
             while count < 20_000:
                 for current in currents:
-                    recognize(current, registry, store)
+                    recognize(current, hovered, store, "grab")
                 count += len(currents)
             elapsed = time.perf_counter() - started
             best = max(best, count / elapsed)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from handgrasp.cli import main
 from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
 from handgrasp.sim import TECHNIQUES, SessionEngine, run_replay
@@ -100,6 +101,31 @@ def test_synth_places_wrist_at_requested_position(tmp_path):
     assert result.returncode == 0
     frame = next(iter(read_frames(out)))
     assert tuple(frame.joints[0]) == (0.1, 0.2, 0.3)
+
+
+_UNUSABLE_SYNTH_NUMBERS = [
+    ("--rate", "0"),
+    ("--rate", "-90"),
+    ("--rate", "nan"),
+    ("--rate", "inf"),
+    ("--duration", "-1"),
+    ("--duration", "inf"),
+    ("--sigma", "nan"),
+    ("--sigma", "-0.001"),
+    ("--at", "nan,0,0"),
+    ("--at", "0,-inf,0"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value", _UNUSABLE_SYNTH_NUMBERS, ids=[f"{flag}={value}" for flag, value in _UNUSABLE_SYNTH_NUMBERS]
+)
+def test_synth_number_it_cannot_use_is_a_usage_error_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.frames"
+    code = main(["synth", "--pose", "open", "--duration", "1.0", f"{flag}={value}", "--out", str(out)])
+    assert code == 1
+    assert f"argument {flag}: expected " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ── latin-square ─────────────────────────────────────────────────────────
@@ -290,7 +316,7 @@ def test_recognize_matches_golden_freeplay_events(tmp_path, technique):
     for frame in frames:
         if any(line.startswith("grab ") for line in engine.feed(frame)):
             hovered_at_grabs.append(
-                sum(engine.registry.is_registered(object_id) for object_id, _, _ in FREEPLAY_OBJECTS)
+                sum(object_id in engine.hovered for object_id, _, _ in FREEPLAY_OBJECTS)
             )
     assert len(hovered_at_grabs) == 3
     assert max(hovered_at_grabs) >= 2
@@ -528,13 +554,49 @@ def test_scene_or_template_number_out_of_range_is_a_data_error_naming_it(tmp_pat
 def test_serve_refuses_a_scene_whose_protocol_cannot_start(tmp_path):
     demo = _demo_copy(tmp_path)
     _write_token(demo / "scene.json", ("protocol", "repeats"), "0")
-    result = subprocess.run(
-        [sys.executable, "-m", "handgrasp", "serve", "--port", "0", "--scene", str(demo / "scene.json")],
-        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
-    )
+    result = _serve_scene(demo / "scene.json")
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith(f"data error: scene config {demo / 'scene.json'}: 'protocol.repeats' must ")
+
+
+_OWNERSHIP = [
+    # a template owned by another object, or by none: its grab would take
+    # that object, or find none to take
+    ("nail-grasp.gesture", ("object_id",), '"cube"', "object_id"),
+    ("nail-grasp.gesture", ("object_id",), '"ghost"', "object_id"),
+    # two objects under one id
+    ("scene.json", ("objects", 1, "id"), '"nail"', "id"),
+]
+
+
+@pytest.mark.parametrize("command", ["recognize", "serve"])
+@pytest.mark.parametrize(
+    "file_name, keys, token, field",
+    _OWNERSHIP,
+    ids=[f"{field}={token}" for *_, token, field in _OWNERSHIP],
+)
+def test_template_of_another_object_or_a_repeated_object_id_is_a_data_error_naming_it(
+    tmp_path, command, file_name, keys, token, field
+):
+    demo = _demo_copy(tmp_path)
+    _write_token(demo / file_name, keys, token)
+    if command == "serve":
+        result = _serve_scene(demo / "scene.json")
+    else:
+        result = _recognize_still_hand(tmp_path, demo / "scene.json")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    kind = "scene config" if file_name == "scene.json" else "template"
+    assert result.stderr.startswith(f"data error: {kind} {demo / file_name}: {field!r} must ")
+
+
+def _serve_scene(config: Path):
+    """`serve` on one scene config, run to completion: for scenes it refuses."""
+    return subprocess.run(
+        [sys.executable, "-m", "handgrasp", "serve", "--port", "0", "--scene", str(config)],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+    )
 
 
 def _write_token(path: Path, keys: tuple, token: str) -> None:
@@ -660,6 +722,37 @@ def test_serve_exits_cleanly_on_a_second_sigint(gap):
         time.sleep(gap)
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=5)
+        assert (proc.returncode, err.decode()) == (0, "")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
+# Runs `handgrasp serve` with `threading.Event.set` holding the event's lock
+# for a second, so a second SIGINT lands while a handler of the first could be
+# inside it. A handler that sets an Event would then wait on that lock in the
+# thread that holds it.
+_SLOW_EVENT_SET = f"""
+import sys, threading, time
+from {_MODULE} import {_FUNCTION} as main
+def set(self):
+    with self._cond:
+        time.sleep(1.0)
+        self._flag = True
+        self._cond.notify_all()
+threading.Event.set = set
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_serve_exits_cleanly_on_a_second_sigint_while_the_first_holds_a_lock():
+    proc, _ = _serving(["-c", _SLOW_EVENT_SET])
+    try:
+        proc.send_signal(signal.SIGINT)
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
         assert (proc.returncode, err.decode()) == (0, "")
     finally:
         if proc.poll() is None:

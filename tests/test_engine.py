@@ -10,7 +10,6 @@ from handgrasp.engine import (
     HOVER_RADIUS,
     RELEASE,
     CaptureSession,
-    ContextRegistry,
     GestureTemplate,
     GrabTracker,
     Match,
@@ -93,19 +92,18 @@ def test_similarity_monotone_under_bounded_noise():
 # ── recognition ──────────────────────────────────────────────────────────
 
 
-def _registry_with(store: TemplateStore, *templates: GestureTemplate) -> ContextRegistry:
-    registry = ContextRegistry()
+def _hovered_with(store: TemplateStore, *templates: GestureTemplate) -> frozenset[str]:
+    """Store the templates; the ids of the objects that own them, all hovered."""
     for template in templates:
         store.add(template)
-        registry.register(template.object_id, (template.name,))
-    return registry
+    return frozenset(template.object_id for template in templates)
 
 
 def test_recognize_exact_frame_scores_zero():
     store = TemplateStore()
     template = _fist_template()
-    registry = _registry_with(store, template)
-    match = recognize(CanonicalHand(template.joints_local.copy(), 1.0), registry, store)
+    hovered = _hovered_with(store, template)
+    match = recognize(CanonicalHand(template.joints_local.copy(), 1.0), hovered, store, "grab")
     assert match is not None
     assert match.gesture == "fist-g"
     assert match.score == 0.0
@@ -116,8 +114,8 @@ def test_recognize_smallest_distance_wins():
     base = canonicalize(pose_frame("fist")).joints_local
     near = GestureTemplate("near-g", "obj", "grab", base + np.array([0.0008, 0.0, 0.0]))
     far = GestureTemplate("far-g", "obj", "grab", base + np.array([0.0016, 0.0, 0.0]))
-    registry = _registry_with(store, far, near)
-    match = recognize(CanonicalHand(base, 1.0), registry, store)
+    hovered = _hovered_with(store, far, near)
+    match = recognize(CanonicalHand(base, 1.0), hovered, store, "grab")
     assert match.gesture == "near-g"
     assert match.score == pytest.approx(0.02, abs=1e-12)
 
@@ -125,17 +123,17 @@ def test_recognize_smallest_distance_wins():
 def test_recognize_just_above_budget_returns_none():
     store = TemplateStore()
     template = _fist_template()
-    registry = _registry_with(store, template)
+    hovered = _hovered_with(store, template)
     probe = _shifted(template, 0.051 / 25.0)
     assert pose_distance(probe, template) == pytest.approx(0.051, abs=1e-12)
-    assert recognize(probe, registry, store) is None
+    assert recognize(probe, hovered, store, "grab") is None
 
 
 def test_recognize_boundary_match_is_inclusive():
     store = TemplateStore()
     template = _fist_template()
-    registry = _registry_with(store, template)
-    match = recognize(_shifted(template, 0.002), registry, store)
+    hovered = _hovered_with(store, template)
+    match = recognize(_shifted(template, 0.002), hovered, store, "grab")
     assert match is not None
     assert match.score == 0.05
 
@@ -145,17 +143,16 @@ def test_recognize_tie_breaks_on_lowest_name():
     local = canonicalize(pose_frame("fist")).joints_local
     b = GestureTemplate("b-gesture", "obj2", "grab", local.copy())
     a = GestureTemplate("a-gesture", "obj1", "grab", local.copy())
-    registry = _registry_with(store, b, a)
-    match = recognize(CanonicalHand(local.copy(), 1.0), registry, store)
+    hovered = _hovered_with(store, b, a)
+    match = recognize(CanonicalHand(local.copy(), 1.0), hovered, store, "grab")
     assert match.gesture == "a-gesture"
     assert match.object_id == "obj1"
 
 
-def test_recognize_empty_registry_returns_none():
+def test_recognize_with_nothing_hovered_returns_none():
     store = TemplateStore()
     store.add(_fist_template())
-    registry = ContextRegistry()
-    assert recognize(CanonicalHand(keypose("fist"), 1.0), registry, store) is None
+    assert recognize(CanonicalHand(keypose("fist"), 1.0), frozenset(), store, "grab") is None
 
 
 def test_recognize_role_filter_selects_release_templates():
@@ -170,14 +167,30 @@ def test_recognize_role_filter_selects_release_templates():
             "release-off", "obj", "release", partial + np.array([0.001, 0.0, 0.0])
         )
     )
-    registry = ContextRegistry()
-    registry.register("obj", ("grab-g", "release-exact", "release-off"))
     hand = CanonicalHand(partial.copy(), 1.0)
-    match = recognize(hand, registry, store, role="release", object_id="obj")
+    match = recognize(hand, frozenset({"obj"}), store, "release")
     assert match.gesture == "release-exact"
     assert match.score == 0.0
     # the grab-role template is not consulted
-    assert recognize(hand, registry, store, role="grab") is None
+    assert recognize(hand, frozenset({"obj"}), store, "grab") is None
+
+
+def test_template_store_stacks_the_role_templates_of_the_given_owners():
+    store = TemplateStore()
+    local = canonicalize(pose_frame("fist")).joints_local
+    for name, owner, role in [
+        ("b-grab", "b", "grab"), ("a-grab", "a", "grab"), ("a-release", "a", "release"), ("c-grab", "c", "grab")
+    ]:
+        store.add(GestureTemplate(name, owner, role, local))
+    names, joints, budgets = store.stack(frozenset({"a", "b"}), "grab")
+    assert names == ("a-grab", "b-grab")  # sorted, release and unhovered owners left out
+    assert joints.shape == (2, JOINT_COUNT, 3) and np.array_equal(joints[0], local)
+    assert budgets.tolist() == [DISTANCE_BUDGET, DISTANCE_BUDGET]
+    assert store.stack(frozenset({"b", "a"}), "grab")[1] is joints  # cached per key
+    assert store.stack(frozenset({"a"}), "release")[0] == ("a-release",)
+    assert store.stack(frozenset(), "grab")[0] == ()
+    store.add(GestureTemplate("a-grab-2", "a", "grab", local))
+    assert store.stack(frozenset({"a", "b"}), "grab")[0] == ("a-grab", "a-grab-2", "b-grab")
 
 
 def test_template_store_rejects_duplicate_names():
@@ -245,40 +258,44 @@ def _poses(obj: SceneObject) -> dict[str, RigidTransform]:
     return {obj.object_id: RigidTransform(np.eye(3), obj.position)}
 
 
+def _cup() -> tuple[SceneObject, TemplateStore]:
+    store = TemplateStore()
+    store.add(_fist_template("cup-g", "cup"))
+    return SceneObject("cup", np.array([0.0, 0.0, 0.4]), 0.05), store
+
+
 def test_hover_event_at_nine_centimetres():
-    obj = SceneObject("cup", np.array([0.0, 0.0, 0.4]), 0.05, ("cup-g",))
-    registry = ContextRegistry()
+    obj, store = _cup()
     frame = _hover_frame(0.09, obj)
     assert surface_distance(frame, obj.position, obj.bounding_radius) <= HOVER_RADIUS
-    events, _ = hover_update(frame, [obj], _poses(obj), registry)
+    events, _, hovered = hover_update(frame, [obj], _poses(obj), frozenset(), HOVER_RADIUS)
     assert [event.kind for event in events] == ["hover"]
-    assert registry.is_registered("cup")
-    assert registry.registered_gestures() == ("cup-g",)
+    assert hovered == {"cup"}
+    assert store.stack(hovered, "grab")[0] == ("cup-g",)
 
 
 def test_unhover_event_at_eleven_centimetres():
-    obj = SceneObject("cup", np.array([0.0, 0.0, 0.4]), 0.05, ("cup-g",))
-    registry = ContextRegistry()
-    hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), registry)
-    events, _ = hover_update(_hover_frame(0.11, obj), [obj], _poses(obj), registry)
+    obj, store = _cup()
+    _, _, hovered = hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), frozenset(), HOVER_RADIUS)
+    events, _, hovered = hover_update(_hover_frame(0.11, obj), [obj], _poses(obj), hovered, HOVER_RADIUS)
     assert [event.kind for event in events] == ["unhover"]
-    assert not registry.is_registered("cup")
-    assert registry.registered_gestures() == ()
+    assert hovered == frozenset()
+    assert store.stack(hovered, "grab")[0] == ()
 
 
 def test_hover_is_edge_triggered():
-    obj = SceneObject("cup", np.array([0.0, 0.0, 0.4]), 0.05, ("cup-g",))
-    registry = ContextRegistry()
-    events = []
+    obj, _ = _cup()
+    events, hovered = [], frozenset()
     for _ in range(100):
-        events.extend(hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), registry)[0])
+        edges, _, hovered = hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), hovered, HOVER_RADIUS)
+        events.extend(edges)
     assert len(events) == 1
 
 
-def _step(intent: TemplateIntent, tracker: GrabTracker, frame: HandFrame, registry, poses):
+def _step(intent: TemplateIntent, tracker: GrabTracker, frame: HandFrame, hovered, poses):
     """One template-technique frame: decide the intent, then let the tracker apply it."""
     hand = canonicalize(frame)
-    decided = intent.decide(tracker, frame.timestamp, hand, registry)
+    decided = intent.decide(tracker, frame.timestamp, hand, hovered)
     event = tracker.step(frame.timestamp, hand.palm, poses, decided)
     return [] if event is None else [event]
 
@@ -288,7 +305,7 @@ def test_no_grab_without_hover():
     store = TemplateStore()
     template = _fist_template("fist-g", "ghost")
     store.add(template)
-    registry = ContextRegistry()  # ghost never hovered
+    hovered = frozenset()  # ghost never hovered
     intent, tracker = TemplateIntent(store), GrabTracker()
     poses = {"ghost": RigidTransform(np.eye(3), np.zeros(3))}
     t = 0.0
@@ -299,7 +316,7 @@ def test_no_grab_without_hover():
         else:
             joints = random_pose_joints(rng)
         frame = HandFrame(t, "right", joints)
-        assert _step(intent, tracker, frame, registry, poses) == []
+        assert _step(intent, tracker, frame, hovered, poses) == []
         t += 1.0 / 90.0
     assert not tracker.grabbed
 
@@ -342,7 +359,7 @@ def test_stillness_fingertip_jump_resets_window():
 
 
 def _capture_target() -> SceneObject:
-    return SceneObject("cube", np.array([0.0, 0.0, 0.0]), 0.05, ())
+    return SceneObject("cube", np.array([0.0, 0.0, 0.0]), 0.05)
 
 
 def _still_stream(duration: float, rate: float = 90.0):
@@ -468,21 +485,19 @@ def _grab_setup(policy: str):
             canonicalize(pose_frame("partial_open")).joints_local,
         )
     )
-    registry = ContextRegistry()
-    registry.register("cube", ("fist-g", "cube-release"))
     poses = {"cube": RigidTransform(np.eye(3), np.array([0.3, 0.0, 0.3]))}
-    return TemplateIntent(store, release_policy=policy), GrabTracker(), registry, poses
+    return TemplateIntent(store, release_policy=policy), GrabTracker(), frozenset({"cube"}), poses
 
 
 def test_grab_rigid_attachment_zero_drift():
-    intent, tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, hovered, poses = _grab_setup("deviation")
     builder = ScriptBuilder(rate=90.0, start=(0.3, 0.0, 0.3))
     builder.hold(0.1, kind="fist")
     builder.move((0.0, 0.2, 0.6), 0.5, kind="fist")
     builder.hold(0.2)
     offsets = []
     for frame in builder.frames():
-        _step(intent, tracker, frame, registry, poses)
+        _step(intent, tracker, frame, hovered, poses)
         if tracker.grabbed:
             offsets.append(palm_frame(frame).inverse().apply(poses["cube"].translation))
     offsets = np.array(offsets)
@@ -497,7 +512,7 @@ def _deviated(joints: np.ndarray, amount: float) -> np.ndarray:
 
 
 def test_deviation_release_after_dwell():
-    intent, tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, hovered, poses = _grab_setup("deviation")
     fist = keypose("fist") + np.array([0.3, 0.0, 0.3])
     events = []
     rate = 90.0
@@ -505,7 +520,7 @@ def test_deviation_release_after_dwell():
         t = i / rate
         joints = _deviated(fist, 0.09) if 0.5 <= t < 0.62 else fist.copy()
         frame = HandFrame(t, "right", joints)
-        events.extend(_step(intent, tracker, frame, registry, poses))
+        events.extend(_step(intent, tracker, frame, hovered, poses))
     kinds = [event.kind for event in events]
     # the hand returning to the grab pose afterwards may grab again;
     # the deviation burst itself must produce exactly one release
@@ -521,7 +536,7 @@ def test_deviation_release_after_dwell():
 
 
 def test_deviation_burst_below_dwell_never_releases():
-    intent, tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, hovered, poses = _grab_setup("deviation")
     fist = keypose("fist") + np.array([0.3, 0.0, 0.3])
     events = []
     rate = 90.0
@@ -530,13 +545,13 @@ def test_deviation_burst_below_dwell_never_releases():
         burst = (0.5 <= t < 0.58) or (1.0 <= t < 1.08) or (1.5 <= t < 1.58)
         joints = _deviated(fist, 0.09) if burst else fist.copy()
         frame = HandFrame(t, "right", joints)
-        events.extend(_step(intent, tracker, frame, registry, poses))
+        events.extend(_step(intent, tracker, frame, hovered, poses))
     assert [event.kind for event in events] == ["grab"]
     assert tracker.grabbed
 
 
 def test_template_release_fires_on_partial_open():
-    intent, tracker, registry, poses = _grab_setup("template")
+    intent, tracker, hovered, poses = _grab_setup("template")
     builder = ScriptBuilder(rate=90.0, start=(0.3, 0.0, 0.3))
     builder.hold(0.2, kind="fist")
     builder.hold(0.3)
@@ -544,17 +559,36 @@ def test_template_release_fires_on_partial_open():
     builder.hold(0.3)
     events = []
     for frame in builder.frames():
-        events.extend(_step(intent, tracker, frame, registry, poses))
+        events.extend(_step(intent, tracker, frame, hovered, poses))
     assert [event.kind for event in events] == ["grab", "release"]
     assert not tracker.grabbed
 
 
+def test_template_release_consults_only_the_held_objects_templates():
+    store = TemplateStore()
+    store.add(_fist_template("fist-g", "cube"))
+    partial = canonicalize(pose_frame("partial_open")).joints_local
+    store.add(GestureTemplate("ball-release", "ball", "release", partial))
+    intent, tracker = TemplateIntent(store, release_policy="template"), GrabTracker()
+    poses = {"cube": RigidTransform(np.eye(3), np.array([0.3, 0.0, 0.3]))}
+    builder = ScriptBuilder(rate=90.0, start=(0.3, 0.0, 0.3))
+    builder.hold(0.2, kind="fist")
+    builder.morph("partial_open", 0.2)
+    builder.hold(0.3)
+    events = []
+    for frame in builder.frames():
+        # ball is hovered too, but its release template never lets go of cube
+        events.extend(_step(intent, tracker, frame, frozenset({"cube", "ball"}), poses))
+    assert [event.kind for event in events] == ["grab"]
+    assert tracker.grabbed_object == "cube"
+
+
 def test_grab_records_offset_and_score():
-    intent, tracker, registry, poses = _grab_setup("deviation")
+    intent, tracker, hovered, poses = _grab_setup("deviation")
     before = poses["cube"]
     fist = keypose("fist") + np.array([0.3, 0.0, 0.3])
     frame = HandFrame(0.0, "right", fist)
-    events = _step(intent, tracker, frame, registry, poses)
+    events = _step(intent, tracker, frame, hovered, poses)
     assert len(events) == 1
     grab = events[0]
     assert grab.kind == "grab"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from handgrasp import engine as engine_module
 from handgrasp import hand
-from handgrasp.engine import ContextRegistry, TemplateStore
+from handgrasp.engine import TemplateStore
 from handgrasp.errors import (
     DegenerateHand,
     IncompleteRun,
@@ -285,23 +287,23 @@ def _reference_surface_distance(frame, obj) -> float:
     return float(dists.min() - obj.bounding_radius)
 
 
-def _reference_frame(frame, objects, poses, registry):
-    """One frame of the reference: copy each object to its pose, hover each copy,
-    then sort the hovered copies by (distance, id) for a direct grab."""
+def _reference_frame(frame, objects, poses, hover_radius, hovered: set):
+    """One frame of the reference: copy each object to its pose, hover each copy
+    (updating `hovered` in place), then sort the hovered copies by (distance, id)
+    for a direct grab."""
     present = [replace(obj, position=poses[obj.object_id].translation) for obj in objects]
     edges = []
     for obj in present:
-        hovered = _reference_surface_distance(frame, obj) <= registry.hover_radius
-        was_hovered = registry.is_registered(obj.object_id)
-        if hovered and not was_hovered:
-            registry.register(obj.object_id, obj.gesture_names)
+        inside = _reference_surface_distance(frame, obj) <= hover_radius
+        if inside and obj.object_id not in hovered:
+            hovered.add(obj.object_id)
             edges.append(f"hover {obj.object_id} {frame.timestamp!r}")
-        elif not hovered and was_hovered:
-            registry.unregister(obj.object_id)
+        elif not inside and obj.object_id in hovered:
+            hovered.remove(obj.object_id)
             edges.append(f"unhover {obj.object_id} {frame.timestamp!r}")
-    hovered = [obj for obj in present if registry.is_registered(obj.object_id)]
-    hovered.sort(key=lambda obj: (_reference_surface_distance(frame, obj), obj.object_id))
-    return edges, hovered[0].object_id if hovered else None
+    nearest = [obj for obj in present if obj.object_id in hovered]
+    nearest.sort(key=lambda obj: (_reference_surface_distance(frame, obj), obj.object_id))
+    return edges, nearest[0].object_id if nearest else None
 
 
 _coordinate = st.floats(-0.15, 0.15, allow_nan=False, allow_infinity=False)
@@ -317,7 +319,7 @@ def _hover_cases(draw):
     objects, poses = [], {}
     for object_id in ids:
         start = np.array(draw(st.tuples(_coordinate, _coordinate, _coordinate)))
-        objects.append(SceneObject(object_id, start, draw(st.floats(0.005, 0.06)), (f"{object_id}-g",)))
+        objects.append(SceneObject(object_id, start, draw(st.floats(0.005, 0.06))))
         at = np.array(draw(st.tuples(_coordinate, _coordinate, _coordinate)))
         poses[object_id] = hand.RigidTransform(np.eye(3), at)
     twin, original = draw(st.sampled_from([(ids[0], ids[1]), (ids[1], ids[0])]))
@@ -351,14 +353,12 @@ def test_hover_pass_and_nearest_grab_match_the_per_object_reference(case):
     scene = Scene("free", tuple(objects), hover_radius=hover_radius)
     engine = SessionEngine(scene, TemplateStore(), "controller")
     engine.object_poses.update(poses)
-    registry = ContextRegistry(hover_radius)
+    hovered: set[str] = set()
     for frame in frames:
         lines = engine.feed(frame)
-        edges, nearest = _reference_frame(frame, objects, poses, registry)
+        edges, nearest = _reference_frame(frame, objects, poses, hover_radius, hovered)
         assert [line for line in lines if "hover " in line] == edges
-        for obj in objects:
-            assert engine.registry.is_registered(obj.object_id) == registry.is_registered(obj.object_id)
-        assert engine.registry.registered_gestures() == registry.registered_gestures()
+        assert engine.hovered == hovered
     grabs = [line.split()[1] for line in lines if line.startswith("grab ")]
     assert grabs == ([] if nearest is None else [nearest])
 
@@ -497,16 +497,12 @@ def test_scene_round_trip(tmp_path, demo_config):
     copy_dir = tmp_path / "copy"
     copy_dir.mkdir()
     # carry the template files over so the copied config stays loadable
-    template_paths: dict[str, list[str]] = {}
-    for obj in scene.objects:
-        names = []
-        for gesture_name in obj.gesture_names:
-            file_name = f"{gesture_name}.gesture"
-            (copy_dir / file_name).write_bytes(
-                (demo_config.parent / file_name).read_bytes()
-            )
-            names.append(file_name)
-        template_paths[obj.object_id] = names
+    template_paths = {
+        entry["id"]: entry["templates"] for entry in json.loads(demo_config.read_text())["objects"]
+    }
+    for names in template_paths.values():
+        for file_name in names:
+            (copy_dir / file_name).write_bytes((demo_config.parent / file_name).read_bytes())
     save_scene(copy_dir / "scene.json", scene, template_paths)
 
     back, back_store = load_scene(copy_dir / "scene.json")
@@ -523,7 +519,16 @@ def test_scene_round_trip(tmp_path, demo_config):
         assert a.object_id == b.object_id
         assert np.array_equal(a.position, b.position)
         assert a.bounding_radius == b.bounding_radius
-        assert a.gesture_names == b.gesture_names
+        for role in ("grab", "release"):
+            owned = frozenset({a.object_id})
+            assert back_store.stack(owned, role)[0] == store.stack(owned, role)[0]
+
+
+def test_build_demo_scene_reproduces_the_shipped_demo_byte_for_byte(demo_dir):
+    shipped = Path(__file__).resolve().parent.parent / "data" / "demo"
+    assert sorted(path.name for path in demo_dir.iterdir()) == sorted(path.name for path in shipped.iterdir())
+    for path in shipped.iterdir():
+        assert (demo_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_scene_invalid_json_is_parse_error(tmp_path):
