@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: capture, recognize, simulate, synth, stats, latin-square,
-serve. Exit codes: 0 success, 1 usage error, 2 data error (parse /
-geometry / tracking / time going backwards), 3 protocol violation
-(incomplete or overrun runs).
+serve. Exit codes: 0 success, 1 usage error, 2 data error (a file or
+field that cannot be read or used, geometry, tracking, time going
+backwards), 3 protocol violation (incomplete or overrun runs).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .stats import anova_oneway
 from .streams import (
     POSE_KINDS,
     TRACKER_RATE,
+    Fields,
     read_frames,
     read_results,
     save_template,
@@ -241,6 +242,8 @@ def _cmd_serve(args) -> int:
     scenes = {}
     for path in args.scene:
         scene, store = load_scene(path)
+        if scene.scene_id in scenes:  # a session names its scene by id
+            raise Fields({}, f"scene config {path}").error("scene_id", f"be unique, got {scene.scene_id!r} twice")
         scenes[scene.scene_id] = (scene, store)
     srv = GraspServer(scenes, host=args.host, port=args.port)
     host, port = srv.address
@@ -280,7 +283,9 @@ def main(argv=None) -> int:
         where = f" (line {exc.line_no}, field {exc.field})" if exc.line_no else ""
         print(f"data error: {exc}{where}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateHand, HandLost, DegenerateInput, TimeOrderError, FileNotFoundError) as exc:
+    except (DegenerateHand, HandLost, DegenerateInput, TimeOrderError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:  # not a file, e.g. a port in use
+            raise
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InvalidArgument as exc:

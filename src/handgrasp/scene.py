@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HOVER_RADIUS, RELEASE_DWELL, RELEASE_FACTOR, TemplateStore
-from .errors import ParseError
-from .streams import load_template, read_json_object, require_finite
+from .streams import Fields, load_template, read_json_object
 
 TARGET_DIAMETER = 0.5  # meters
 DISAPPEAR_DELAY = 1.0  # seconds between a release and the next trial
@@ -91,132 +90,65 @@ class Scene:
         raise KeyError(object_id)
 
 
-def _vec3(raw, where: str, field_name: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != 3:
-        raise ParseError(f"{where}: {field_name!r} must be [x, y, z]", field=field_name)
-    return require_finite(np.asarray([float(v) for v in raw], dtype=np.float64), where, field_name)
-
-
-def _number(raw, where: str, field_name: str) -> float:
-    """`raw` as a finite float >= 0: every plain number a scene holds is a size,
-    a duration, a factor or a band limit, and none of them can be negative."""
-    value = require_finite(float(raw), where, field_name)
-    if value < 0.0:
-        raise ParseError(f"{where}: {field_name!r} must be >= 0, got {value!r}", field=field_name)
-    return value
-
-
-def _integer(raw, where: str, field_name: str, least: int) -> int:
-    """`raw` as an int of at least `least`; a non-finite or smaller value is
-    a ParseError naming the file and the field."""
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
-        value = None
-    if value is None or value < least:
-        message = f"{where}: {field_name!r} must be an integer >= {least}, got {raw!r}"
-        raise ParseError(message, field=field_name)
-    return value
-
-
 def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
     """Load a scene config and every template file it references.
 
-    Object ids are unique, and every template an object lists must name
-    that object as its `object_id`.
+    Object ids and template names are unique, and every template an object
+    lists must name that object as its `object_id`.
     """
     path = Path(path)
-    where = f"scene config {path}"
-    document = read_json_object(path, "scene config")
-    entries = document.get("objects", [])
-    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
-        raise ParseError(f"{where}: 'objects' must list JSON objects", field="objects")
-    for entry in entries:
-        files = entry.get("templates", [])
-        if not isinstance(files, list) or not all(isinstance(rel, str) for rel in files):
-            raise ParseError(f"{where}: 'templates' must list file names", field="templates")
-    for section in ("target", "protocol", "release"):
-        if not isinstance(document.get(section, {}), dict):
-            raise ParseError(f"{where}: {section!r} must be a JSON object", field=section)
-
+    fields = Fields(read_json_object(path, "scene config"), f"scene config {path}")
+    scene_id = fields.string("scene_id")
     store = TemplateStore()
+    names: set[str] = set()
     objects: list[SceneObject] = []
-    try:
-        scene_id = str(document["scene_id"])
-        for entry in entries:
-            object_id = str(entry["id"])
-            if any(obj.object_id == object_id for obj in objects):
-                raise ParseError(f"{where}: 'id' must be unique, got {object_id!r} twice", field="id")
-            for rel in entry.get("templates", []):
-                template = load_template(path.parent / rel)
-                if template.object_id != object_id:
-                    raise ParseError(
-                        f"template {path.parent / rel}: 'object_id' must be {object_id!r}, "
-                        f"the object that lists it, got {template.object_id!r}",
-                        field="object_id",
-                    )
-                store.add(template)
-            objects.append(
-                SceneObject(
-                    object_id=object_id,
-                    position=_vec3(entry["position"], where, "position"),
-                    bounding_radius=_number(entry["bounding_radius"], where, "bounding_radius"),
-                )
-            )
+    for entry in fields.entries("objects", dict, "JSON objects"):
+        entry = Fields(entry, fields.where)
+        object_id = entry.string("id")
+        if any(obj.object_id == object_id for obj in objects):
+            raise entry.error("id", f"be unique, got {object_id!r} twice")
+        for rel in entry.entries("templates", str, "file names"):
+            template = load_template(path.parent / rel)
+            template_file = Fields({}, f"template {path.parent / rel}")  # names this file in errors
+            if template.object_id != object_id:
+                raise template_file.error("object_id", f"be {object_id!r}, which lists it, got {template.object_id!r}")
+            if template.name in names:
+                raise template_file.error("name", f"be unique, got {template.name!r} twice")
+            names.add(template.name)
+            store.add(template)
+        objects.append(SceneObject(object_id, entry.vec3("position"), entry.number("bounding_radius")))
 
-        target = None
-        if "target" in document:
-            target = TargetSphere(
-                center=_vec3(document["target"]["center"], where, "target.center"),
-                diameter=_number(
-                    document["target"].get("diameter", TARGET_DIAMETER), where, "target.diameter"
-                ),
-            )
+    target = None
+    if (raw := fields.section("target")) is not None:
+        target = TargetSphere(raw.vec3("center"), raw.number("diameter", TARGET_DIAMETER))
 
-        protocol = None
-        if "protocol" in document:
-            raw = document["protocol"]
-            protocol = ProtocolSpec(
-                repeats=_integer(raw.get("repeats", DEFAULT_REPEATS), where, "protocol.repeats", 1),
-                seed=_integer(raw.get("seed", 0), where, "protocol.seed", 0),
-                reach_min=_vec3(raw["reach_min"], where, "protocol.reach_min"),
-                reach_max=_vec3(raw["reach_max"], where, "protocol.reach_max"),
-                disappear_delay=_number(
-                    raw.get("disappear_delay", DISAPPEAR_DELAY), where, "protocol.disappear_delay"
-                ),
-            )
-
-        release = ReleaseSpec()
-        if "release" in document:
-            raw = document["release"]
-            release = ReleaseSpec(
-                factor=_number(raw.get("factor", RELEASE_FACTOR), where, "release.factor"),
-                dwell=_number(raw.get("dwell", RELEASE_DWELL), where, "release.dwell"),
-            )
-
-        bands = document.get("color_bands", [GREEN_LIMIT, YELLOW_LIMIT])
-        if not isinstance(bands, list) or len(bands) != 2:
-            raise ParseError(f"{where}: 'color_bands' must be [green, yellow]", field="color_bands")
-
-        scene = Scene(
-            scene_id=scene_id,
-            objects=tuple(objects),
-            target=target,
-            protocol=protocol,
-            release=release,
-            hover_radius=_number(document.get("hover_radius", HOVER_RADIUS), where, "hover_radius"),
-            green_limit=_number(bands[0], where, "color_bands"),
-            yellow_limit=_number(bands[1], where, "color_bands"),
+    protocol = None
+    if (raw := fields.section("protocol")) is not None:
+        protocol = ProtocolSpec(
+            repeats=raw.integer("repeats", 1, DEFAULT_REPEATS),
+            seed=raw.integer("seed", 0, 0),
+            reach_min=raw.vec3("reach_min"),
+            reach_max=raw.vec3("reach_max"),
+            disappear_delay=raw.number("disappear_delay", DISAPPEAR_DELAY),
         )
-    except KeyError as exc:
-        raise ParseError(f"{where} missing field {exc.args[0]!r}", field=str(exc.args[0])) from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad value in {where}: {exc}", field="scene") from exc
 
+    release = fields.section("release") or Fields({}, fields.where)
+    bands = [GREEN_LIMIT, YELLOW_LIMIT]
+    green_limit, yellow_limit = fields.numbers("color_bands", (2,), "[green, yellow] >= 0", bands, signed=False)
+    scene = Scene(
+        scene_id=scene_id,
+        objects=tuple(objects),
+        target=target,
+        protocol=protocol,
+        release=ReleaseSpec(release.number("factor", RELEASE_FACTOR), release.number("dwell", RELEASE_DWELL)),
+        hover_radius=fields.number("hover_radius", HOVER_RADIUS),
+        green_limit=green_limit,
+        yellow_limit=yellow_limit,
+    )
     if protocol is not None and target is None:
-        raise ParseError(f"{where} has a protocol but no target", field="target")
+        raise fields.error("target", "be given under a protocol")
     if protocol is not None and not objects:
-        raise ParseError(f"{where}: 'objects' must not be empty under a protocol", field="objects")
+        raise fields.error("objects", "not be empty under a protocol")
     return scene, store
 
 

@@ -20,7 +20,7 @@ from .engine import GestureTemplate
 from .errors import InvalidArgument
 from .hand import canonicalize
 from .scene import ProtocolSpec, Scene, SceneObject, TargetSphere, save_scene
-from .sim import TECHNIQUES, draw_target_centers
+from .sim import TECHNIQUES, target_centers
 from .streams import ScriptBuilder, pose_frame, save_template
 
 # one gesture kind per object, cycled; shared by the scene builder and scripts
@@ -106,14 +106,13 @@ def script_protocol_run(scene: Scene, technique: str):
         raise InvalidArgument("scene has no protocol to script")
 
     sequence = [obj for _ in range(scene.protocol.repeats) for obj in scene.objects]
-    targets = draw_target_centers(scene.protocol, scene.target.center, len(sequence))
     jitter_seed = scene.protocol.seed + 101 * (TECHNIQUES.index(technique) + 1)
     jitter = np.random.default_rng(jitter_seed)
 
     builder = ScriptBuilder()
     object_index = {obj.object_id: i for i, obj in enumerate(scene.objects)}
-    for trial, obj in enumerate(sequence):
-        release_at = targets[trial] + jitter.uniform(-_RELEASE_JITTER, _RELEASE_JITTER, 3)
+    for obj, target in zip(sequence, target_centers(scene.protocol, scene.target.center)):
+        release_at = target + jitter.uniform(-_RELEASE_JITTER, _RELEASE_JITTER, 3)
         settle = 0.15 + float(jitter.uniform(0.0, _HOLD_JITTER))
         if technique == "controller":
             _controller_trial(builder, obj, release_at, settle)

@@ -27,6 +27,7 @@ seeded random point in the reach volume after every trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -86,13 +87,18 @@ def _zigzag(j: int) -> int:
     return half if j % 2 == 1 else -half
 
 
-def draw_target_centers(protocol: ProtocolSpec, initial_center: np.ndarray, count: int) -> list[np.ndarray]:
-    """Target center for each trial: the configured center, then seeded draws."""
+def target_centers(protocol: ProtocolSpec, initial_center: np.ndarray) -> Iterator[np.ndarray]:
+    """Target center for each trial in turn: the configured center, then seeded draws."""
+    yield np.asarray(initial_center, dtype=np.float64)
     rng = np.random.default_rng(protocol.seed)
-    centers = [np.asarray(initial_center, dtype=np.float64)]
-    for _ in range(max(count - 1, 0)):
-        centers.append(rng.uniform(protocol.reach_min, protocol.reach_max))
-    return centers
+    while True:
+        yield rng.uniform(protocol.reach_min, protocol.reach_max)
+
+
+def draw_target_centers(protocol: ProtocolSpec, initial_center: np.ndarray, count: int) -> list[np.ndarray]:
+    """Target centers of the first `count` trials (at least one)."""
+    centers = target_centers(protocol, initial_center)
+    return [next(centers) for _ in range(max(count, 1))]
 
 
 def _fmt(value: float) -> str:
@@ -171,21 +177,19 @@ class SessionEngine:
 
         self._protocol = scene.protocol
         if self._protocol is not None:
-            self._sequence = [
-                obj for _ in range(self._protocol.repeats) for obj in scene.objects
-            ]
-            self._targets = draw_target_centers(
-                self._protocol, scene.target.center, len(self._sequence)
-            )
+            # trial k places objects[k % n] on the k-th target, drawn as it begins
+            self.trial_count = self._protocol.repeats * len(scene.objects)
+            self._targets = target_centers(self._protocol, scene.target.center)
             self._trial = 0
             self._active: SceneObject | None = None
             self._next_trial_at: float | None = None
-            self._begin_trial(self._sequence[0])
+            self._begin_trial()
 
     # ── protocol bookkeeping ───────────────────────────────────────────
 
-    def _begin_trial(self, obj: SceneObject) -> None:
-        self._active = obj
+    def _begin_trial(self) -> None:
+        obj = self._active = self.scene.objects[self._trial % len(self.scene.objects)]
+        self._target = next(self._targets)
         self._next_trial_at = None
         self.object_poses[obj.object_id] = RigidTransform(np.eye(3), obj.position.copy())
 
@@ -196,7 +200,7 @@ class SessionEngine:
 
     def _finish_trial(self, object_id: str, timestamp: float) -> list[str]:
         center = self.object_poses[object_id].translation
-        accuracy = vector_length(center - self._targets[self._trial])
+        accuracy = vector_length(center - self._target)
         dropped = accuracy > self.scene.target.radius
         band = color_band(accuracy, self.scene.green_limit, self.scene.yellow_limit)
         self.results.append(
@@ -214,7 +218,7 @@ class SessionEngine:
         self.hovered = self.hovered - {object_id}
         self._active = None
         self._trial += 1
-        if self._trial >= len(self._sequence):
+        if self._trial >= self.trial_count:
             self.finished = True
         else:
             self._next_trial_at = timestamp + self._protocol.disappear_delay
@@ -248,7 +252,7 @@ class SessionEngine:
             and self._active is None
             and frame.timestamp >= self._next_trial_at
         ):
-            self._begin_trial(self._sequence[self._trial])
+            self._begin_trial()
 
         # hover reads object_poses, so a held object stays hovered in transit
         events, distances, self.hovered = hover_update(
@@ -326,7 +330,7 @@ def run_replay(
     if scene.protocol is not None and not engine.finished:
         done = len(engine.results)
         raise IncompleteRun(
-            f"stream ended after {done} of {len(engine._sequence)} trials",
+            f"stream ended after {done} of {engine.trial_count} trials",
             results=engine.results,
             summary=engine.summary(),
         )

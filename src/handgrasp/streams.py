@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 import orjson
 
-from .engine import DISTANCE_BUDGET, GestureTemplate
+from .engine import DISTANCE_BUDGET, ROLE_GRAB, ROLE_RELEASE, GestureTemplate
 from .errors import CountError, ParseError
 from .hand import JOINT_COUNT, HandFrame, JointId
 
@@ -100,26 +100,22 @@ def read_results(path: str | Path) -> list[TrialResult]:
             if not row:
                 continue
             if len(row) != len(RESULTS_HEADER):
-                raise ParseError(
-                    f"expected {len(RESULTS_HEADER)} columns, got {len(row)}",
-                    line_no=line_no,
-                    field="row",
-                )
-            numbers = []
-            for field, text in (("accuracy_m", row[2]), ("tct_s", row[3])):
-                try:
-                    numbers.append(float(text))
-                except ValueError:
-                    numbers.append(math.nan)
-                if not math.isfinite(numbers[-1]):
-                    message = f"{path}: {field!r} must be a finite number, got {text!r}"
-                    raise ParseError(message, line_no=line_no, field=field)
-            if row[4] not in ("true", "false"):
-                message = f"{path}: 'dropped' must be true or false, got {row[4]!r}"
-                raise ParseError(message, line_no=line_no, field="dropped")
-            accuracy, tct = numbers
-            results.append(TrialResult(row[0], row[1], accuracy, tct, row[4] == "true", row[5]))
+                message = f"expected {len(RESULTS_HEADER)} columns, got {len(row)}"
+                raise ParseError(message, line_no=line_no, field="row")
+            record = {"accuracy_m": _cell(row[2]), "tct_s": _cell(row[3]), "dropped": row[4]}
+            cells = Fields(record, str(path), line_no)
+            accuracy, tct = (cells.numbers(key, (), "a finite number") for key in ("accuracy_m", "tct_s"))
+            dropped = cells.string("dropped", among=("true", "false")) == "true"
+            results.append(TrialResult(row[0], row[1], accuracy, tct, dropped, row[5]))
     return results
+
+
+def _cell(text: str):
+    """A results cell as the JSON value it spells, or as its text when it spells none."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return text
 
 
 # ── frame streams ──────────────────────────────────────────────────────────
@@ -332,41 +328,104 @@ def read_json_object(path: str | Path, kind: str) -> dict:
     return document
 
 
-def require_finite(value, where: str, field_name: str):
-    """`value`, a number or an array of numbers, once every entry is finite;
-    `where` names the file ("scene config <path>"). JSON admits `NaN`,
-    `Infinity` and `1e999`, which no field of a config file can use."""
-    if not np.isfinite(value).all():
-        raise ParseError(f"{where}: {field_name!r} must be finite", field=field_name)
-    return value
+class Fields:
+    """A JSON object read one typed field at a time, coercing nothing.
+
+    A getter returns the value under `key`, or `default` when the key is
+    absent (with no default the key is required), and otherwise raises
+    ParseError("<where>: '<field>' must …"). `where` names the file
+    ("template <path>"), `prefix` the section ("protocol.").
+    """
+
+    def __init__(self, document: dict, where: str, line_no: int = 0, prefix: str = ""):
+        self.document, self.where, self.line_no, self.prefix = document, where, line_no, prefix
+
+    def error(self, key: str, must: str) -> ParseError:
+        field = self.prefix + key
+        return ParseError(f"{self.where}: {field!r} must {must}", line_no=self.line_no, field=field)
+
+    def _get(self, key: str, default):
+        if key not in self.document and default is None:
+            raise self.error(key, "be given")
+        return self.document.get(key, default)
+
+    def numbers(self, key: str, shape: tuple, spelt: str, default=None, signed: bool = True):
+        """Floats nested to `shape` (one float for `()`), none below 0 unless `signed`."""
+        raw = self._get(key, default)
+        value = _nested_numbers(raw, shape, signed)
+        if value is None:
+            raise self.error(key, f"be {spelt}, got {_shown(raw)}")
+        return value
+
+    def number(self, key: str, default=None) -> float:  # a size, duration, factor or limit
+        return self.numbers(key, (), "a finite number >= 0", default, signed=False)
+
+    def vec3(self, key: str) -> list[float]:
+        return self.numbers(key, (3,), "[x, y, z] of finite numbers")
+
+    def integer(self, key: str, least: int, default=None) -> int:
+        raw = self._get(key, default)
+        if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
+            raise self.error(key, f"be an integer >= {least}, got {_shown(raw)}")
+        return raw
+
+    def string(self, key: str, among: tuple[str, ...] = ()) -> str:
+        """An id as whitespace-split event lines carry it, one of `among` when given."""
+        raw = self._get(key, None)
+        if not isinstance(raw, str) or raw.split() != [raw] or (among and raw not in among):
+            spelt = " or ".join(map(repr, among)) or "a non-empty string without whitespace"
+            raise self.error(key, f"be {spelt}, got {_shown(raw)}")
+        return raw
+
+    def entries(self, key: str, kind: type, spelt: str) -> list:
+        """The list under `key`, empty when absent, of entries of type `kind`."""
+        raw = self._get(key, [])
+        if not isinstance(raw, list) or not all(isinstance(entry, kind) for entry in raw):
+            raise self.error(key, f"list {spelt}, got {_shown(raw)}")
+        return raw
+
+    def section(self, key: str) -> "Fields | None":
+        """The JSON object under `key`, its fields named `<key>.<field>`; None when absent."""
+        if key not in self.document:
+            return None
+        if not isinstance(raw := self.document[key], dict):
+            raise self.error(key, f"be a JSON object, got {_shown(raw)}")
+        return Fields(raw, self.where, self.line_no, f"{self.prefix}{key}.")
+
+
+def _nested_numbers(raw, shape: tuple, signed: bool):
+    """`raw` as floats nested to `shape`, or None unless it nests finite JSON numbers so."""
+    if shape:
+        if not isinstance(raw, list) or len(raw) != shape[0]:
+            return None
+        rows = [_nested_numbers(entry, shape[1:], signed) for entry in raw]
+        return None if None in rows else rows
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer too large for a float
+        return None
+    return value if math.isfinite(value) and (signed or value >= 0.0) else None
+
+
+def _shown(raw) -> str:
+    """`raw` quoted in a message; an array or object by its type alone, as it may nest too deeply to print."""
+    return {list: "a JSON array", dict: "a JSON object"}.get(type(raw)) or repr(raw)
 
 
 def load_template(path: str | Path) -> GestureTemplate:
-    where = f"template {path}"
-    document = read_json_object(path, "template")
-    version = document.get("format_version")
+    fields = Fields(read_json_object(path, "template"), f"template {path}")
+    version = fields.integer("format_version", 0)
     if version != TEMPLATE_FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported template format_version {version!r} in {path}",
-            field="format_version",
-        )
-    joints_raw = document.get("joints_local")
-    if not isinstance(joints_raw, list) or len(joints_raw) != JOINT_COUNT:
-        raise CountError(
-            f"template {path} must carry {JOINT_COUNT} joints", field="joints_local"
-        )
-    try:
-        return GestureTemplate(
-            name=document["name"],
-            object_id=document["object_id"],
-            role=document["role"],
-            joints_local=require_finite(np.asarray(joints_raw, dtype=np.float64), where, "joints_local"),
-            threshold_sum=require_finite(
-                float(document.get("threshold_sum", DISTANCE_BUDGET)), where, "threshold_sum"
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad template document in {path}: {exc}", field="template") from exc
+        raise fields.error("format_version", f"be {TEMPLATE_FORMAT_VERSION}, got {version!r}")
+    return GestureTemplate(
+        name=fields.string("name"),
+        object_id=fields.string("object_id"),
+        role=fields.string("role", among=(ROLE_GRAB, ROLE_RELEASE)),
+        joints_local=fields.numbers("joints_local", (JOINT_COUNT, 3), f"{JOINT_COUNT} rows of [x, y, z]"),
+        threshold_sum=fields.number("threshold_sum", DISTANCE_BUDGET),
+    )
 
 
 # ── synthetic key poses ────────────────────────────────────────────────────

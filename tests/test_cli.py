@@ -542,13 +542,7 @@ _OUT_OF_RANGE = [
     ids=[f"{field}={token}" for *_, token, field in _OUT_OF_RANGE],
 )
 def test_scene_or_template_number_out_of_range_is_a_data_error_naming_it(tmp_path, file_name, keys, token, field):
-    demo = _demo_copy(tmp_path)
-    _write_token(demo / file_name, keys, token)
-    result = _recognize_still_hand(tmp_path, demo / "scene.json")
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    kind = "scene config" if file_name == "scene.json" else "template"
-    assert result.stderr.startswith(f"data error: {kind} {demo / file_name}: {field!r} must ")
+    _assert_recognize_refuses(tmp_path, file_name, keys, token, field)
 
 
 def test_serve_refuses_a_scene_whose_protocol_cannot_start(tmp_path):
@@ -565,8 +559,9 @@ _OWNERSHIP = [
     # that object, or find none to take
     ("nail-grasp.gesture", ("object_id",), '"cube"', "object_id"),
     ("nail-grasp.gesture", ("object_id",), '"ghost"', "object_id"),
-    # two objects under one id
+    # two objects under one id, or two templates under one name
     ("scene.json", ("objects", 1, "id"), '"nail"', "id"),
+    ("cube-grasp.gesture", ("name",), '"nail-grasp"', "name"),
 ]
 
 
@@ -591,10 +586,85 @@ def test_template_of_another_object_or_a_repeated_object_id_is_a_data_error_nami
     assert result.stderr.startswith(f"data error: {kind} {demo / file_name}: {field!r} must ")
 
 
-def _serve_scene(config: Path):
-    """`serve` on one scene config, run to completion: for scenes it refuses."""
+_WRONG_KIND = [
+    # a bool or a string is no number, and a float no integer
+    ("scene.json", ("objects", 0, "bounding_radius"), "true", "bounding_radius"),
+    ("scene.json", ("objects", 0, "bounding_radius"), '"0.02"', "bounding_radius"),
+    ("scene.json", ("protocol", "repeats"), "2.5", "protocol.repeats"),
+    ("scene.json", ("protocol", "repeats"), "true", "protocol.repeats"),
+    ("scene.json", ("protocol", "seed"), '"7"', "protocol.seed"),
+    ("scene.json", ("color_bands", 0), '"0.02"', "color_bands"),
+    ("scene.json", ("hover_radius",), '"abc"', "hover_radius"),
+    ("nail-grasp.gesture", ("threshold_sum",), "true", "threshold_sum"),
+    ("nail-grasp.gesture", ("threshold_sum",), '"0.05"', "threshold_sum"),
+    ("nail-grasp.gesture", ("joints_local", 3), '["0.1", "0.0", "0.0"]', "joints_local"),
+    ("nail-grasp.gesture", ("joints_local", 3), "[true, false, true]", "joints_local"),
+    ("nail-grasp.gesture", ("format_version",), "true", "format_version"),
+    ("nail-grasp.gesture", ("format_version",), "1.0", "format_version"),
+    # an integer too large for a float
+    ("scene.json", ("objects", 0, "bounding_radius"), "1" * 401, "bounding_radius"),
+    ("scene.json", ("objects", 0, "position", 0), "1" * 401, "position"),
+    ("scene.json", ("protocol", "disappear_delay"), "1" * 401, "protocol.disappear_delay"),
+    ("nail-grasp.gesture", ("threshold_sum",), "1" * 401, "threshold_sum"),
+    ("nail-grasp.gesture", ("joints_local", 3, 1), "1" * 401, "joints_local"),
+    # ids that whitespace-split event lines and session headers cannot carry
+    ("scene.json", ("scene_id",), '["x"]', "scene_id"),
+    ("scene.json", ("scene_id",), '"my demo"', "scene_id"),
+    ("scene.json", ("objects", 0, "id"), '""', "id"),
+    ("nail-grasp.gesture", ("name",), "5", "name"),
+    ("nail-grasp.gesture", ("name",), '"nail grasp"', "name"),
+]
+
+
+@pytest.mark.parametrize(
+    "file_name, keys, token, field",
+    _WRONG_KIND,
+    ids=[f"{field}={token[:12]}" for *_, token, field in _WRONG_KIND],
+)
+def test_scene_or_template_value_of_the_wrong_kind_is_a_data_error_naming_it(tmp_path, file_name, keys, token, field):
+    _assert_recognize_refuses(tmp_path, file_name, keys, token, field)
+
+
+def _assert_recognize_refuses(tmp_path, file_name, keys, token, field):
+    """`recognize` on a demo copy whose file holds `token` under `keys` exits 2
+    before any output, naming the file and `field`."""
+    demo = _demo_copy(tmp_path)
+    _write_token(demo / file_name, keys, token)
+    result = _recognize_still_hand(tmp_path, demo / "scene.json")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    kind = "scene config" if file_name == "scene.json" else "template"
+    assert result.stderr.startswith(f"data error: {kind} {demo / file_name}: {field!r} must ")
+
+
+def test_serve_refuses_a_second_scene_under_the_same_id_before_listening(tmp_path):
+    demo = _demo_copy(tmp_path)
+    other = demo / "other.json"
+    other.write_bytes((demo / "scene.json").read_bytes())
+    result = _serve_scene(demo / "scene.json", other)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"data error: scene config {other}: 'scene_id' must be unique, got 'demo' twice\n"
+
+
+def test_path_that_cannot_be_read_is_a_data_error(tmp_path):
+    demo = _demo_copy(tmp_path)
+    result = _run("recognize", "--in", str(tmp_path), "--scene", str(demo / "scene.json"))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("data error: ") and str(tmp_path) in result.stderr
+    _write_token(demo / "scene.json", ("objects", 0, "templates", 0), '"."')
+    result = _recognize_still_hand(tmp_path, demo / "scene.json")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("data error: ") and str(demo) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _serve_scene(*configs: Path):
+    """`serve` on the scene configs, run to completion: for scenes it refuses."""
+    scenes = [arg for config in configs for arg in ("--scene", str(config))]
     return subprocess.run(
-        [sys.executable, "-m", "handgrasp", "serve", "--port", "0", "--scene", str(config)],
+        [sys.executable, "-m", "handgrasp", "serve", "--port", "0", *scenes],
         capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
 

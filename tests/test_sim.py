@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from handgrasp import engine as engine_module
 from handgrasp import hand
@@ -40,8 +45,9 @@ from handgrasp.sim import (
     run_replay,
     summarize,
 )
-from handgrasp.streams import TrialResult, pose_frame
+from handgrasp.streams import TrialResult, pose_frame, synth_stream
 
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 TARGET = np.array([0.0, 0.2, 0.5])
 CUBE_AT = np.array([0.3, 0.0, 0.3])
 
@@ -432,6 +438,48 @@ def test_target_centers_are_seed_deterministic():
     assert not np.array_equal(a[1], other[1])
 
 
+_BILLION_REPEATS = """
+import sys, time
+from dataclasses import replace
+import numpy as np
+from handgrasp.scene import load_scene
+from handgrasp.scripts import script_protocol_run
+from handgrasp.sim import SessionEngine, draw_target_centers, run_replay
+
+scene, store = load_scene(sys.argv[1])
+once = replace(scene, protocol=replace(scene.protocol, repeats=1))
+frames = script_protocol_run(once, "controller")
+results, _, _ = run_replay(once, store, "controller", frames)
+started = time.perf_counter()
+engine = SessionEngine(replace(scene, protocol=replace(scene.protocol, repeats=10**9)), store, "controller")
+assert time.perf_counter() - started < 1.0, time.perf_counter() - started
+assert engine.trial_count == 10**9 * len(scene.objects)
+targets = [engine._target]
+for frame in frames:
+    engine.feed(frame)
+    if engine._target is not targets[-1]:
+        targets.append(engine._target)
+assert engine.results == results and not engine.finished
+expected = draw_target_centers(scene.protocol, scene.target.center, len(results))
+assert all(np.array_equal(a, b) for a, b in zip(targets[: len(results)], expected, strict=True))
+"""
+
+
+def test_protocol_of_a_billion_repeats_starts_at_once_and_draws_the_same_targets():
+    # in a child held to 1 GiB, so an engine that lists every trial fails fast
+    # instead of taking the machine's memory
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _BILLION_REPEATS, str(DEMO / "scene.json")],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=limit_memory,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # ── counterbalancing ─────────────────────────────────────────────────────
 
 
@@ -562,6 +610,115 @@ def test_scene_bad_color_bands(tmp_path):
     path.write_text('{"scene_id": "x", "objects": [], "color_bands": [0.02]}')
     with pytest.raises(ParseError):
         load_scene(path)
+
+
+# Every field of the demo scene and of one demo template, by what it holds:
+# a number at least 0, a coordinate, an integer of at least the given
+# bound, an id, or a structure whose own entries are checked.
+_SCENE_FIELDS = [
+    (("scene_id",), "id"),
+    (("hover_radius",), "number"),
+    (("color_bands",), "structure"),
+    (("color_bands", 1), "number"),
+    (("objects",), "structure"),
+    (("objects", 0, "id"), "id"),
+    (("objects", 0, "position"), "structure"),
+    (("objects", 0, "position", 1), "coordinate"),
+    (("objects", 0, "bounding_radius"), "number"),
+    (("objects", 0, "templates"), "structure"),
+    (("objects", 0, "templates", 0), "structure"),
+    (("target",), "structure"),
+    (("target", "center", 0), "coordinate"),
+    (("target", "diameter"), "number"),
+    (("protocol",), "structure"),
+    (("protocol", "repeats"), 1),
+    (("protocol", "seed"), 0),
+    (("protocol", "reach_min", 2), "coordinate"),
+    (("protocol", "disappear_delay"), "number"),
+    (("release",), "structure"),
+    (("release", "factor"), "number"),
+    (("release", "dwell"), "number"),
+]
+_TEMPLATE_FIELDS = [
+    (("format_version",), 1),
+    (("name",), "id"),
+    (("object_id",), "id"),
+    (("role",), "id"),
+    (("threshold_sum",), "number"),
+    (("joints_local",), "structure"),
+    (("joints_local", 4), "structure"),
+    (("joints_local", 4, 0), "coordinate"),
+]
+_JSON_LEAVES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.floats(),  # NaN and the infinities among them
+    st.floats(-3.0, 3.0),
+    st.integers(-3, 3),
+    st.integers(10**300, 10**400).flatmap(lambda n: st.sampled_from([n, -n])),
+)
+_JSON_VALUES = _JSON_LEAVES | st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _holds(kind, value) -> bool:
+    """Whether `value` is one a field of `kind` may hold (the reference for the strict reader)."""
+    if kind == "structure":
+        return True
+    if kind == "id":
+        return type(value) is str and value != "" and not any(c.isspace() for c in value)
+    if isinstance(kind, int):
+        return type(value) is int and value >= kind
+    finite = type(value) in (int, float) and abs(value) < 1e308  # False for NaN
+    return finite and (kind == "coordinate" or value >= 0)
+
+
+# no explain phase: on a failure it runs for minutes and grows to a gigabyte
+@settings(
+    max_examples=300,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+)
+@given(
+    st.one_of(
+        st.tuples(st.just("scene.json"), st.sampled_from(_SCENE_FIELDS)),
+        st.tuples(st.just("nail-grasp.gesture"), st.sampled_from(_TEMPLATE_FIELDS)),
+    ),
+    _JSON_VALUES,
+)
+@example(("scene.json", (("protocol", "repeats"), 1)), 2.5)  # not truncated to 2
+@example(("nail-grasp.gesture", (("threshold_sum",), "number")), True)  # not read as 1.0
+def test_scene_loads_only_values_its_fields_may_hold_and_refuses_the_rest_as_parse_errors(where, value):
+    file_name, (keys, kind) = where
+    with tempfile.TemporaryDirectory() as directory:
+        demo = Path(directory)
+        for source in DEMO.iterdir():
+            (demo / source.name).write_bytes(source.read_bytes())
+        document = json.loads((demo / file_name).read_text())
+        node = document
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        (demo / file_name).write_text(json.dumps(document))
+        try:
+            scene, store = load_scene(demo / "scene.json")
+        except ParseError:
+            return
+        except OSError:
+            assert "templates" in keys  # a file name that names no readable file
+            return
+    assert _holds(kind, value)
+    # a short protocol, so an engine that listed every trial could not take the
+    # machine's memory here; the billion-repeats test covers long ones
+    scene = replace(scene, protocol=replace(scene.protocol, repeats=min(scene.protocol.repeats, 3)))
+    engine = SessionEngine(scene, store, "custom")
+    for frame in synth_stream("fist", duration=0.1, at=scene.objects[0].position):
+        engine.feed(frame)
+    engine.summary()
 
 
 def test_scene_missing_template_file(tmp_path):
