@@ -2,8 +2,9 @@
 
 Subcommands: capture, recognize, simulate, synth, stats, latin-square,
 serve. Exit codes: 0 success, 1 usage error, 2 data error (a file or
-field that cannot be read or used, geometry, tracking, time going
-backwards), 3 protocol violation (incomplete or overrun runs).
+field that cannot be read or used; a rejected frame, named by its line
+and field: geometry, a tracking gap, time going backwards), 3 protocol
+violation (incomplete or overrun runs).
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ import socket
 import sys
 
 from .engine import CaptureSession
-from .errors import (
-    DegenerateHand,
-    DegenerateInput,
-    HandLost,
-    IncompleteRun,
-    InvalidArgument,
-    ParseError,
-    ProtocolViolation,
-    TimeOrderError,
-)
+from .errors import DegenerateInput, FrameError, IncompleteRun, InvalidArgument, ProtocolViolation
 from .scene import load_scene
 from .server import GraspServer
 from .sim import SessionEngine, latin_square_order, run_replay, summarize, TECHNIQUES
@@ -279,11 +271,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError,) as exc:
+    except (ProtocolViolation, IncompleteRun) as exc:
+        print(f"protocol violation: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    except FrameError as exc:
         where = f" (line {exc.line_no}, field {exc.field})" if exc.line_no else ""
         print(f"data error: {exc}{where}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateHand, HandLost, DegenerateInput, TimeOrderError, OSError) as exc:
+    except (DegenerateInput, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is None:  # not a file, e.g. a port in use
             raise
         print(f"data error: {exc}", file=sys.stderr)
@@ -291,9 +286,6 @@ def main(argv=None) -> int:
     except InvalidArgument as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProtocolViolation, IncompleteRun) as exc:
-        print(f"protocol violation: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

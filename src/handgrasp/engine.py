@@ -34,6 +34,7 @@ from .hand import (
     JointId,
     RigidTransform,
     canonicalize,
+    check_time_order,
 )
 
 DISTANCE_BUDGET = 0.05  # meters, summed over all 25 joints
@@ -246,6 +247,9 @@ class CaptureSession:
     Progress runs from 0 to 1 over HOLD_REQUIRED seconds and drops back
     to 0 whenever the hand moves or leaves the hover radius. The pose at
     the completing frame becomes the template, with the default budget.
+    Each frame is checked as `SessionEngine.feed` checks it, before any
+    state changes: time order, then its canonical hand. A gap past
+    TRACKING_TIMEOUT aborts the capture with HandLost.
     """
 
     def __init__(self, target, template_name: str, role: str = ROLE_GRAB, hover_radius: float = HOVER_RADIUS):
@@ -267,13 +271,11 @@ class CaptureSession:
     def step(self, frame: HandFrame) -> CaptureEvent:
         if self.progress >= 1.0:
             raise InvalidArgument("capture session already completed")
-        if (
-            self._last_timestamp is not None
-            and frame.timestamp - self._last_timestamp > TRACKING_TIMEOUT
-        ):
-            raise HandLost(
-                f"no frame for {frame.timestamp - self._last_timestamp:.3f} s during capture"
-            )
+        last = self._last_timestamp
+        check_time_order(frame, last)
+        if last is not None and frame.timestamp - last > TRACKING_TIMEOUT:
+            raise HandLost(f"no frame for {frame.timestamp - last:.3f} s during capture", frame.line_no, "t")
+        hand = canonicalize(frame)
         self._last_timestamp = frame.timestamp
 
         target = self.target
@@ -295,7 +297,7 @@ class CaptureSession:
                 name=self.template_name,
                 object_id=self.target.object_id,
                 role=self.role,
-                joints_local=canonicalize(frame).joints_local,
+                joints_local=hand.joints_local,
             )
             return CaptureEvent("captured", 1.0, template)
         return CaptureEvent("progress", self.progress)

@@ -7,19 +7,12 @@ class HandGraspError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DegenerateHand(HandGraspError):
-    """Palm frame anchors are coincident or collinear; no basis exists."""
+class FrameError(HandGraspError):
+    """A frame, or a line of a file, that is rejected where the fault is found.
 
-
-class HandLost(HandGraspError):
-    """Tracking gap exceeded the allowed timeout during a capture."""
-
-
-class ParseError(HandGraspError):
-    """A stream or file line could not be parsed.
-
-    Carries the 1-based line number and the offending field so callers
-    can report the exact location.
+    Carries the 1-based line number (0 when unknown) and the offending
+    field so callers can report the exact location. Each subclass's
+    `code` is the server's `err <code> <line-no>` reply to it.
     """
 
     def __init__(self, message: str, line_no: int = 0, field: str = ""):
@@ -28,16 +21,34 @@ class ParseError(HandGraspError):
         self.field = field
 
 
+class ParseError(FrameError):
+    """A stream line, or a scene, template or results file, that cannot be read."""
+    code = "parse"
+
+
 class CountError(ParseError):
     """A joint array had the wrong number of entries."""
+    code = "joints"
 
 
-class TimeOrderError(HandGraspError):
+class DegenerateHand(FrameError):
+    """Palm frame anchors are coincident or collinear, or the hand has no size."""
+    code = "degenerate"
+
+
+class TimeOrderError(FrameError):
     """A frame's timestamp is earlier than the frame fed before it."""
+    code = "time"
 
 
-class ProtocolViolation(HandGraspError):
+class HandLost(FrameError):
+    """Tracking gap exceeded the allowed timeout during a capture (never from a session)."""
+    code = "time"
+
+
+class ProtocolViolation(FrameError):
     """A frame arrived for a run that already finished."""
+    code = "finished"
 
 
 class IncompleteRun(HandGraspError):

@@ -21,7 +21,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DegenerateHand
+from .errors import DegenerateHand, TimeOrderError
 
 JOINT_COUNT = 25
 REFERENCE_LENGTH = 0.09  # wrist -> middle proximal, meters, defines size 1.0
@@ -86,6 +86,7 @@ class HandFrame:
     side: str  # "left" | "right"
     joints: np.ndarray  # (25, 3) float64, world meters
     grip: bool | None = None  # controller grip bit, absent for bare hands
+    line_no: int = 0  # stream line it was read from, named by its rejection; 0 when not read
 
     def __post_init__(self):
         joints = np.asarray(self.joints, dtype=np.float64)
@@ -131,8 +132,15 @@ class RigidTransform:
         return RigidTransform(rotation=rot_t, translation=-(rot_t @ self.translation))
 
 
-def _palm_basis(joints: np.ndarray) -> np.ndarray:
-    """Palm basis as a 3x3 matrix with columns lateral, normal, forward.
+def check_time_order(frame: HandFrame, last_time: float | None) -> None:
+    """Raise TimeOrderError when `frame` is stamped earlier than `last_time`; equal stamps are fine."""
+    if last_time is not None and frame.timestamp < last_time:
+        message = f"frame time {frame.timestamp!r} is earlier than the previous frame's {last_time!r}"
+        raise TimeOrderError(message, frame.line_no, "t")
+
+
+def _palm_basis(frame: HandFrame) -> np.ndarray:
+    """Palm basis of `frame` as a 3x3 matrix with columns lateral, normal, forward.
 
     Scalar arithmetic on the four anchor joints: the same operations, in
     the same order, as the vector formulation (two cross products and
@@ -140,21 +148,21 @@ def _palm_basis(joints: np.ndarray) -> np.ndarray:
     dispatch on 3-vectors.
     """
     # rows 0, 5, 10, 15, 20: the wrist and the four finger metacarpals
-    (wx, wy, wz), (ix, iy, iz), (mx, my, mz), _, (px, py, pz) = joints[::5].tolist()
+    (wx, wy, wz), (ix, iy, iz), (mx, my, mz), _, (px, py, pz) = frame.joints[::5].tolist()
     fx, fy, fz = mx - wx, my - wy, mz - wz
     sx, sy, sz = ix - px, iy - py, iz - pz
 
     forward_len = math.sqrt(fx * fx + fy * fy + fz * fz)
     span_len = math.sqrt(sx * sx + sy * sy + sz * sz)
     if forward_len < DEGENERATE_EPS or span_len < DEGENERATE_EPS:
-        raise DegenerateHand("palm anchors coincide")
+        raise DegenerateHand("palm anchors coincide", frame.line_no, "joints")
 
     fx, fy, fz = fx / forward_len, fy / forward_len, fz / forward_len
     sx, sy, sz = sx / span_len, sy / span_len, sz / span_len
     nx, ny, nz = fy * sz - fz * sy, fz * sx - fx * sz, fx * sy - fy * sx
     normal_len = math.sqrt(nx * nx + ny * ny + nz * nz)
     if normal_len < DEGENERATE_EPS:
-        raise DegenerateHand("palm anchors are collinear")
+        raise DegenerateHand("palm anchors are collinear", frame.line_no, "joints")
 
     nx, ny, nz = nx / normal_len, ny / normal_len, nz / normal_len
     # unit: normal ⟂ forward by construction
@@ -177,7 +185,7 @@ def palm_frame(frame: HandFrame) -> RigidTransform:
     metacarpals do not span a plane.
     """
     return RigidTransform(
-        rotation=_palm_basis(frame.joints), translation=frame.joints[JointId.WRIST].copy()
+        rotation=_palm_basis(frame), translation=frame.joints[JointId.WRIST].copy()
     )
 
 
@@ -185,7 +193,7 @@ def hand_scale(frame: HandFrame) -> float:
     """Hand size factor: wrist-to-middle-proximal length over 0.09 m."""
     length = vector_length(frame.joints[JointId.MIDDLE_PROXIMAL] - frame.joints[JointId.WRIST])
     if length < DEGENERATE_EPS:
-        raise DegenerateHand("wrist and middle proximal coincide")
+        raise DegenerateHand("wrist and middle proximal coincide", frame.line_no, "joints")
     return length / REFERENCE_LENGTH
 
 

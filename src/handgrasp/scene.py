@@ -134,7 +134,7 @@ def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
 
     release = fields.section("release") or Fields({}, fields.where)
     bands = [GREEN_LIMIT, YELLOW_LIMIT]
-    green_limit, yellow_limit = fields.numbers("color_bands", (2,), "[green, yellow] >= 0", bands, signed=False)
+    green_limit, yellow_limit = fields.numbers("color_bands", (2,), "[green, yellow] >= 0", bands, least=0.0)
     scene = Scene(
         scene_id=scene_id,
         objects=tuple(objects),

@@ -10,9 +10,10 @@ order. Malformed lines get one
 
     err <code> <line-no>
 
-reply (codes: header, scene, technique, joints, parse, degenerate,
-time, finished) and the session continues; line numbers count every
-line in the session including the header. An `end` line yields a
+reply. A bad header draws `header`, `scene` or `technique` and ends the
+session; a rejected frame draws the `code` of its `FrameError` (`parse`,
+`joints`, `degenerate`, `time`, `finished`) and the session continues.
+Line numbers count every line in the session including the header. An `end` line yields a
 single summary line and closes the session. A last line without a
 newline is still a line. Sessions are fully isolated: every connection
 gets its own engine, scenes and template stores are shared read-only.
@@ -31,17 +32,14 @@ on a background thread.
 from __future__ import annotations
 
 import io
-import logging
 import socketserver
 import threading
 
-from .errors import CountError, DegenerateHand, InvalidArgument, ParseError, ProtocolViolation, TimeOrderError
+from .errors import FrameError, InvalidArgument
 from .scene import Scene
 from .engine import TemplateStore
 from .sim import SessionEngine
 from .streams import parse_frame_line
-
-logger = logging.getLogger(__name__)
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -99,21 +97,9 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             replies.append(engine.summary().to_line())
             return True
         try:
-            frame = parse_frame_line(text, line_no=line_no)
-        except CountError:
-            replies.append(f"err joints {line_no}")
-            return False
-        except ParseError:
-            replies.append(f"err parse {line_no}")
-            return False
-        try:
-            replies.extend(engine.feed(frame))
-        except ProtocolViolation:
-            replies.append(f"err finished {line_no}")
-        except DegenerateHand:
-            replies.append(f"err degenerate {line_no}")
-        except TimeOrderError:
-            replies.append(f"err time {line_no}")
+            replies.extend(engine.feed(parse_frame_line(text, line_no=line_no)))
+        except FrameError as exc:
+            replies.append(f"err {exc.code} {line_no}")
         return False
 
 

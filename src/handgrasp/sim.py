@@ -39,8 +39,8 @@ from .engine import (
     TemplateStore,
     hover_update,
 )
-from .errors import IncompleteRun, InvalidArgument, ProtocolViolation, TimeOrderError
-from .hand import HandFrame, RigidTransform, canonicalize, palm_frame, vector_length
+from .errors import IncompleteRun, InvalidArgument, ProtocolViolation
+from .hand import HandFrame, RigidTransform, canonicalize, check_time_order, palm_frame, vector_length
 from .pinch import PinchState
 from .scene import GREEN_LIMIT, YELLOW_LIMIT, ProtocolSpec, Scene, SceneObject
 from .stats import describe
@@ -234,12 +234,8 @@ class SessionEngine:
         without a palm basis, both before any state changes.
         """
         if self.finished:
-            raise ProtocolViolation("frame arrived after the run finished")
-        if self._last_time is not None and frame.timestamp < self._last_time:
-            raise TimeOrderError(
-                f"frame time {frame.timestamp!r} is earlier than the previous "
-                f"frame's {self._last_time!r}"
-            )
+            raise ProtocolViolation("frame arrived after the run finished", frame.line_no)
+        check_time_order(frame, self._last_time)
         if self._template_intent is not None:
             hand = canonicalize(frame)
             palm = hand.palm

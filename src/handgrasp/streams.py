@@ -42,6 +42,7 @@ from .hand import JOINT_COUNT, HandFrame, JointId
 logger = logging.getLogger(__name__)
 
 TEMPLATE_FORMAT_VERSION = 1
+COORDINATE_LIMIT = 1000.0  # meters: no scene or template coordinate lies farther from 0
 TRACKER_RATE = 90.0  # frames per second of a hand tracker, for generated streams
 RESULTS_HEADER = ("technique", "object", "accuracy_m", "tct_s", "dropped", "band")
 
@@ -245,7 +246,7 @@ def _frame_from_record(record, line_no: int, warn: Callable[[str], None]) -> Han
         raise ParseError(
             f"field 'grip' must be 0|1, got {grip_raw!r}", line_no=line_no, field="grip"
         )
-    return HandFrame(timestamp=timestamp, side=side, joints=joints, grip=grip)
+    return HandFrame(timestamp=timestamp, side=side, joints=joints, grip=grip, line_no=line_no)
 
 
 def _joints_one_by_one(joints_raw: list, line_no: int) -> np.ndarray:
@@ -349,19 +350,21 @@ class Fields:
             raise self.error(key, "be given")
         return self.document.get(key, default)
 
-    def numbers(self, key: str, shape: tuple, spelt: str, default=None, signed: bool = True):
-        """Floats nested to `shape` (one float for `()`), none below 0 unless `signed`."""
+    def numbers(self, key: str, shape: tuple, spelt: str, default=None, least=-math.inf, most=math.inf):
+        """Finite floats nested to `shape` (one float for `()`), each from `least` to `most`."""
         raw = self._get(key, default)
-        value = _nested_numbers(raw, shape, signed)
+        value = _nested_numbers(raw, shape, least, most)
         if value is None:
             raise self.error(key, f"be {spelt}, got {_shown(raw)}")
         return value
 
     def number(self, key: str, default=None) -> float:  # a size, duration, factor or limit
-        return self.numbers(key, (), "a finite number >= 0", default, signed=False)
+        return self.numbers(key, (), "a finite number >= 0", default, least=0.0)
 
-    def vec3(self, key: str) -> list[float]:
-        return self.numbers(key, (3,), "[x, y, z] of finite numbers")
+    def vec3(self, key: str, rows: tuple = ()) -> list:
+        """[x, y, z] within COORDINATE_LIMIT of 0, or `rows` nested lists of them."""
+        spelt = (f"{rows[0]} rows of " if rows else "") + f"[x, y, z] with |x| <= {COORDINATE_LIMIT:g}"
+        return self.numbers(key, rows + (3,), spelt, least=-COORDINATE_LIMIT, most=COORDINATE_LIMIT)
 
     def integer(self, key: str, least: int, default=None) -> int:
         raw = self._get(key, default)
@@ -393,12 +396,12 @@ class Fields:
         return Fields(raw, self.where, self.line_no, f"{self.prefix}{key}.")
 
 
-def _nested_numbers(raw, shape: tuple, signed: bool):
-    """`raw` as floats nested to `shape`, or None unless it nests finite JSON numbers so."""
+def _nested_numbers(raw, shape: tuple, least: float, most: float):
+    """`raw` as floats nested to `shape`, or None unless it nests finite JSON numbers in range so."""
     if shape:
         if not isinstance(raw, list) or len(raw) != shape[0]:
             return None
-        rows = [_nested_numbers(entry, shape[1:], signed) for entry in raw]
+        rows = [_nested_numbers(entry, shape[1:], least, most) for entry in raw]
         return None if None in rows else rows
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         return None
@@ -406,7 +409,7 @@ def _nested_numbers(raw, shape: tuple, signed: bool):
         value = float(raw)
     except OverflowError:  # an integer too large for a float
         return None
-    return value if math.isfinite(value) and (signed or value >= 0.0) else None
+    return value if math.isfinite(value) and least <= value <= most else None
 
 
 def _shown(raw) -> str:
@@ -423,7 +426,7 @@ def load_template(path: str | Path) -> GestureTemplate:
         name=fields.string("name"),
         object_id=fields.string("object_id"),
         role=fields.string("role", among=(ROLE_GRAB, ROLE_RELEASE)),
-        joints_local=fields.numbers("joints_local", (JOINT_COUNT, 3), f"{JOINT_COUNT} rows of [x, y, z]"),
+        joints_local=fields.vec3("joints_local", (JOINT_COUNT,)),
         threshold_sum=fields.number("threshold_sum", DISTANCE_BUDGET),
     )
 

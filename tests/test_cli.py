@@ -206,6 +206,25 @@ def test_capture_stream_too_short(tmp_path):
     assert not (tmp_path / "x.gesture").exists()
 
 
+@pytest.mark.parametrize("fault, line, field", [("backwards", 201, "t"), ("degenerate", 150, "joints")])
+def test_capture_refuses_a_backwards_or_degenerate_frame_naming_its_line(tmp_path, fault, line, field):
+    scene, _ = load_scene(SCENE)
+    nail = scene.object_by_id("nail")
+    frames = synth_stream("fist", duration=4.0, at=nail.position)
+    if fault == "backwards":  # every frame from `line` on is stamped 0.5 s earlier
+        frames[line - 1 :] = [replace(f, timestamp=f.timestamp - 0.5) for f in frames[line - 1 :]]
+    else:  # all 25 joints at one point
+        frames[line - 1] = replace(frames[line - 1], joints=np.tile(nail.position, (25, 1)))
+    stream, out = tmp_path / f"{fault}.frames", tmp_path / "nail.gesture"
+    write_frames(stream, frames)
+    result = _run("capture", "--in", str(stream), "--scene", str(SCENE),
+                  "--object", "nail", "--out", str(out))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("data error: ")
+    assert result.stderr.endswith(f" (line {line}, field {field})\n")
+    assert not out.exists()
+
+
 # ── simulate ─────────────────────────────────────────────────────────────
 
 
@@ -410,12 +429,11 @@ def test_integer_too_large_for_a_float_is_a_data_error(tmp_path, custom_stream, 
     assert "(line 40, field joints[4])" in result.stderr
 
 
-@pytest.mark.parametrize("command", ["recognize", "simulate"])
-def test_frame_earlier_than_the_last_is_a_data_error(tmp_path, custom_stream, command):
+def _run_with_line_40_edited(tmp_path, custom_stream, command, **changes):
+    """`command` over the custom stream with line 40's frame replaced by `changes`."""
     lines = custom_stream.read_text().splitlines(keepends=True)
-    frame = parse_frame_line(lines[39])
-    lines[39] = format_frame_line(replace(frame, timestamp=frame.timestamp - 0.1)) + "\n"
-    bad = tmp_path / "backwards.frames"
+    lines[39] = format_frame_line(replace(parse_frame_line(lines[39]), **changes)) + "\n"
+    bad = tmp_path / "edited.frames"
     bad.write_text("".join(lines))
     args = [command, "--in", str(bad), "--scene", str(SCENE), "--technique", "custom"]
     if command == "simulate":
@@ -423,7 +441,21 @@ def test_frame_earlier_than_the_last_is_a_data_error(tmp_path, custom_stream, co
     result = _run(*args)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
+    return result
+
+
+@pytest.mark.parametrize("command", ["recognize", "simulate"])
+def test_frame_earlier_than_the_last_is_a_data_error(tmp_path, custom_stream, command):
+    frame = parse_frame_line(custom_stream.read_text().splitlines()[39])
+    result = _run_with_line_40_edited(tmp_path, custom_stream, command, timestamp=frame.timestamp - 0.1)
     assert "earlier than the previous frame" in result.stderr
+    assert "(line 40, field t)" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["recognize", "simulate"])
+def test_skeleton_without_a_palm_basis_is_a_data_error_naming_line_and_field(tmp_path, custom_stream, command):
+    result = _run_with_line_40_edited(tmp_path, custom_stream, command, joints=np.zeros((25, 3)))
+    assert result.stderr.endswith("palm anchors coincide (line 40, field joints)\n")
 
 
 @pytest.mark.parametrize(
@@ -533,6 +565,10 @@ _OUT_OF_RANGE = [
     ("scene.json", ("color_bands", 0), "NaN", "color_bands"),
     ("nail-grasp.gesture", ("threshold_sum",), "NaN", "threshold_sum"),
     ("nail-grasp.gesture", ("joints_local", 3, 1), "Infinity", "joints_local"),
+    # coordinates past COORDINATE_LIMIT, whose squared distances overflow
+    ("scene.json", ("objects", 0, "position", 1), "-1000.5", "position"),
+    ("scene.json", ("protocol", "reach_max", 2), "1001", "protocol.reach_max"),
+    ("nail-grasp.gesture", ("joints_local", 4, 0), "1.34e154", "joints_local"),
 ]
 
 
@@ -543,6 +579,18 @@ _OUT_OF_RANGE = [
 )
 def test_scene_or_template_number_out_of_range_is_a_data_error_naming_it(tmp_path, file_name, keys, token, field):
     _assert_recognize_refuses(tmp_path, file_name, keys, token, field)
+
+
+def test_target_center_past_the_coordinate_bound_is_refused_before_simulate_writes(tmp_path):
+    demo = _demo_copy(tmp_path)
+    _write_token(demo / "scene.json", ("target", "center"), "[1e200, 0, 0.5]")
+    stream, out = tmp_path / "still.frames", tmp_path / "results.csv"
+    write_frames(stream, synth_stream("open", duration=0.1))
+    result = _run("simulate", "--in", str(stream), "--scene", str(demo / "scene.json"),
+                  "--technique", "controller", "--out", str(out))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"data error: scene config {demo / 'scene.json'}: 'target.center' must ")
+    assert not out.exists()
 
 
 def test_serve_refuses_a_scene_whose_protocol_cannot_start(tmp_path):

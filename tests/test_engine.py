@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from handgrasp.engine import (
     DISTANCE_BUDGET,
     HOVER_RADIUS,
     RELEASE,
+    CaptureEvent,
     CaptureSession,
     GestureTemplate,
     GrabTracker,
@@ -22,7 +25,7 @@ from handgrasp.engine import (
     recognize,
     surface_distance,
 )
-from handgrasp.errors import HandLost, InvalidArgument
+from handgrasp.errors import DegenerateHand, HandLost, InvalidArgument, TimeOrderError
 from handgrasp.hand import (
     JOINT_COUNT,
     CanonicalHand,
@@ -449,6 +452,23 @@ def test_capture_tracking_gap_aborts():
     late = HandFrame(frames[-1].timestamp + 0.6, "right", frames[-1].joints.copy())
     with pytest.raises(HandLost):
         session.step(late)
+
+
+def test_capture_rejects_backwards_and_degenerate_frames_before_any_state_changes():
+    session = CaptureSession(_capture_target(), "cube-grasp")
+    frames = _still_stream(2.0)
+    for frame in frames:
+        session.step(frame)
+    progress, last = session.progress, frames[-1]
+    with pytest.raises(TimeOrderError) as err:
+        session.step(replace(last, timestamp=last.timestamp - 0.1, line_no=7))
+    assert (err.value.line_no, err.value.field) == (7, "t")
+    with pytest.raises(DegenerateHand) as err:  # inside the target, so it would have read as movement
+        session.step(replace(last, joints=np.zeros((JOINT_COUNT, 3)), line_no=8))
+    assert (err.value.line_no, err.value.field) == (8, "joints")
+    assert session.progress == progress
+    # an equal stamp is accepted, and the hold goes on where it was
+    assert session.step(last) == CaptureEvent("progress", progress)
 
 
 def test_capture_rejects_frames_after_completion():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import socket
 import threading
 from collections import deque
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handgrasp import server as server_mod
+from handgrasp.errors import FrameError
 from handgrasp.hand import HandFrame
 from handgrasp.scene import ProtocolSpec, Scene, SceneObject, TargetSphere, load_scene, save_scene
 from handgrasp.scripts import script_protocol_run
@@ -448,3 +450,14 @@ def test_replies_do_not_depend_on_how_input_is_cut(mini_replay, data):
             expected.append(summary)
     handler = _ScriptedHandler(pieces, ("test", 0), SimpleNamespace(scenes=scenes))
     assert handler.wfile.getvalue() == "".join(line + "\n" for line in expected).encode("utf-8")
+
+
+def _subclasses(cls) -> set:
+    return set(cls.__subclasses__()).union(*(_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+def test_readme_lists_the_header_codes_and_the_code_of_every_frame_error():
+    readme = (DATA.parent / "README.md").read_text()
+    listed = re.search(r"`err <code> <line-no>` reply \(([^)]*)\)", readme).group(1)
+    codes = {"header", "scene", "technique"} | {cls.code for cls in _subclasses(FrameError)}
+    assert set(re.findall(r"`(\w+)`", listed)) == codes

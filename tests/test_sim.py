@@ -45,7 +45,7 @@ from handgrasp.sim import (
     run_replay,
     summarize,
 )
-from handgrasp.streams import TrialResult, pose_frame, synth_stream
+from handgrasp.streams import COORDINATE_LIMIT, TrialResult, pose_frame, synth_stream
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 TARGET = np.array([0.0, 0.2, 0.5])
@@ -613,8 +613,9 @@ def test_scene_bad_color_bands(tmp_path):
 
 
 # Every field of the demo scene and of one demo template, by what it holds:
-# a number at least 0, a coordinate, an integer of at least the given
-# bound, an id, or a structure whose own entries are checked.
+# a number at least 0, a coordinate (within COORDINATE_LIMIT of 0), an
+# integer of at least the given bound, an id, or a structure whose own
+# entries are checked.
 _SCENE_FIELDS = [
     (("scene_id",), "id"),
     (("hover_radius",), "number"),
@@ -673,8 +674,8 @@ def _holds(kind, value) -> bool:
         return type(value) is str and value != "" and not any(c.isspace() for c in value)
     if isinstance(kind, int):
         return type(value) is int and value >= kind
-    finite = type(value) in (int, float) and abs(value) < 1e308  # False for NaN
-    return finite and (kind == "coordinate" or value >= 0)
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max  # False for NaN
+    return finite and (abs(value) <= COORDINATE_LIMIT if kind == "coordinate" else value >= 0)
 
 
 # no explain phase: on a failure it runs for minutes and grows to a gigabyte
