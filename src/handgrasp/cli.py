@@ -3,8 +3,8 @@
 Subcommands: capture, recognize, simulate, synth, stats, latin-square,
 serve. Exit codes: 0 success, 1 usage error, 2 data error (a file or
 field that cannot be read or used; a rejected frame, named by its line
-and field: geometry, a tracking gap, time going backwards), 3 protocol
-violation (incomplete or overrun runs).
+and field: geometry, a tracking gap, time going backwards, a hand of the
+other side), 3 protocol violation (incomplete or overrun runs).
 """
 
 from __future__ import annotations
@@ -149,10 +149,8 @@ def _cmd_capture(args) -> int:
 def _cmd_recognize(args) -> int:
     scene, store = load_scene(args.scene)
     engine = SessionEngine(scene, store, args.technique)
-    for frame in read_frames(args.stream):
-        if engine.finished:
-            break
-        for line in engine.feed(frame):
+    for lines in engine.replay(read_frames(args.stream)):
+        for line in lines:
             print(line)
     print(engine.summary().to_line())
     return EXIT_OK

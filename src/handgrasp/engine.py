@@ -20,6 +20,7 @@ intent. `TemplateIntent` decides that intent for the template techniques.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ from .hand import (
     JointId,
     RigidTransform,
     canonicalize,
+    check_side,
     check_time_order,
 )
 
@@ -45,6 +47,7 @@ HOLD_REQUIRED = 3.0  # seconds of stillness to author a template
 TRACKING_TIMEOUT = 0.5  # seconds without a frame aborts a capture
 RELEASE_FACTOR = 1.5  # deviation release fires above factor * budget
 RELEASE_DWELL = 0.1  # seconds the deviation must persist
+STACK_CACHE_LIMIT = 256  # stacked arrays a TemplateStore keeps; the oldest goes first
 
 ROLE_GRAB = "grab"
 ROLE_RELEASE = "release"
@@ -101,12 +104,15 @@ class TemplateStore:
 
     A template belongs to the object its `object_id` names. Safe for shared
     concurrent reads once populated; do not add templates while other
-    threads are matching against the store.
+    threads are matching against the store. The stacks are cached per
+    hovered set and role, at most STACK_CACHE_LIMIT of them, since a hand
+    can hover any subset of a scene's objects.
     """
 
     def __init__(self):
         self._templates: dict[str, GestureTemplate] = {}
         self._stacks: dict[tuple[frozenset[str], str], tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
+        self._stacks_lock = threading.Lock()  # sessions of one scene share its store
 
     def add(self, template: GestureTemplate) -> None:
         if template.name in self._templates:
@@ -122,7 +128,8 @@ class TemplateStore:
 
     def stack(self, object_ids: frozenset[str], role: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """(sorted names, joints (n,25,3), budgets (n,)) of the `role` templates
-        that the objects `object_ids` own, cached per (object_ids, role)."""
+        that the objects `object_ids` own, cached per (object_ids, role), the
+        STACK_CACHE_LIMIT latest keys."""
         key = (object_ids, role)
         cached = self._stacks.get(key)
         if cached is None:
@@ -136,7 +143,10 @@ class TemplateStore:
                 np.array([template.joints_local for template in owned]).reshape(-1, JOINT_COUNT, 3),
                 np.array([template.threshold_sum for template in owned]),
             )
-            self._stacks[key] = cached
+            with self._stacks_lock:
+                self._stacks[key] = cached
+                if len(self._stacks) > STACK_CACHE_LIMIT:
+                    del self._stacks[next(iter(self._stacks))]
         return cached
 
 
@@ -248,8 +258,9 @@ class CaptureSession:
     to 0 whenever the hand moves or leaves the hover radius. The pose at
     the completing frame becomes the template, with the default budget.
     Each frame is checked as `SessionEngine.feed` checks it, before any
-    state changes: time order, then its canonical hand. A gap past
-    TRACKING_TIMEOUT aborts the capture with HandLost.
+    state changes: time order, the side the first frame bound, then its
+    canonical hand. A gap past TRACKING_TIMEOUT aborts the capture with
+    HandLost.
     """
 
     def __init__(self, target, template_name: str, role: str = ROLE_GRAB, hover_radius: float = HOVER_RADIUS):
@@ -261,6 +272,7 @@ class CaptureSession:
         self._stillness = StillnessWindow()
         self._hold_start: float | None = None
         self._last_timestamp: float | None = None
+        self._side: str | None = None
 
     def _reset(self) -> CaptureEvent:
         self.progress = 0.0
@@ -275,8 +287,10 @@ class CaptureSession:
         check_time_order(frame, last)
         if last is not None and frame.timestamp - last > TRACKING_TIMEOUT:
             raise HandLost(f"no frame for {frame.timestamp - last:.3f} s during capture", frame.line_no, "t")
+        check_side(frame, self._side)
         hand = canonicalize(frame)
         self._last_timestamp = frame.timestamp
+        self._side = frame.side
 
         target = self.target
         if surface_distance(frame, target.position, target.bounding_radius) > self.hover_radius:

@@ -41,6 +41,11 @@ class TimeOrderError(FrameError):
     code = "time"
 
 
+class SideError(FrameError):
+    """A frame of the other hand than the one its session or capture is bound to."""
+    code = "hand"
+
+
 class HandLost(FrameError):
     """Tracking gap exceeded the allowed timeout during a capture (never from a session)."""
     code = "time"

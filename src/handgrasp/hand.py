@@ -11,6 +11,10 @@ The palm basis is computed once per frame, in scalar arithmetic: the same
 operations in the same order as the cross-product formulation, so the same
 bits. `canonicalize` hands its palm transform on with the canonical joints,
 and a held object rides that transform instead of a second computation.
+A file replay canonicalizes blocks of frames with `canonicalize_block`,
+which takes the same operations in the same order over arrays and gives
+every frame the bits `canonicalize` gives it; the live paths (server,
+capture, a library caller's `feed`) keep the per-frame kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DegenerateHand, TimeOrderError
+from .errors import DegenerateHand, SideError, TimeOrderError
 
 JOINT_COUNT = 25
 REFERENCE_LENGTH = 0.09  # wrist -> middle proximal, meters, defines size 1.0
@@ -139,6 +143,12 @@ def check_time_order(frame: HandFrame, last_time: float | None) -> None:
         raise TimeOrderError(message, frame.line_no, "t")
 
 
+def check_side(frame: HandFrame, side: str | None) -> None:
+    """Raise SideError when `frame` is not of `side`, the hand its stream is bound to (None: unbound)."""
+    if side is not None and frame.side != side:
+        raise SideError(f"a {frame.side} hand in a stream bound to the {side} hand", frame.line_no, "hand")
+
+
 def _palm_basis(frame: HandFrame) -> np.ndarray:
     """Palm basis of `frame` as a 3x3 matrix with columns lateral, normal, forward.
 
@@ -215,3 +225,52 @@ def canonicalize(frame: HandFrame) -> CanonicalHand:
         local = local.copy()
         local[:, 1] = -local[:, 1]
     return CanonicalHand(joints_local=local, scale=scale, palm=palm)
+
+
+def canonicalize_block(frames: list[HandFrame]) -> list[CanonicalHand | None]:
+    """`canonicalize` of each frame in one pass; None where it would raise DegenerateHand.
+
+    Component arrays over the block take `_palm_basis`'s and `hand_scale`'s
+    operations in the same order, each row rounded as the scalar code rounds
+    it, then one stacked matmul, the division by the scale and the left-hand
+    flip: every hand has the same bits as `canonicalize` gives. It pays only
+    over many frames (a file replay); at one frame it costs several times
+    `canonicalize`.
+    """
+    joints = np.array([frame.joints for frame in frames])
+    wrist = joints[:, JointId.WRIST]
+    # Python floats never warn; a degenerate row's 0/0 is dropped below
+    with np.errstate(all="ignore"):
+        fx, fy, fz = (joints[:, JointId.MIDDLE_METACARPAL] - wrist).T
+        sx, sy, sz = (joints[:, JointId.INDEX_METACARPAL] - joints[:, JointId.PINKY_METACARPAL]).T
+        forward_len = np.sqrt(fx * fx + fy * fy + fz * fz)
+        span_len = np.sqrt(sx * sx + sy * sy + sz * sz)
+        fx, fy, fz = fx / forward_len, fy / forward_len, fz / forward_len
+        sx, sy, sz = sx / span_len, sy / span_len, sz / span_len
+        nx, ny, nz = fy * sz - fz * sy, fz * sx - fx * sz, fx * sy - fy * sx
+        normal_len = np.sqrt(nx * nx + ny * ny + nz * nz)
+        nx, ny, nz = nx / normal_len, ny / normal_len, nz / normal_len
+        lx, ly, lz = ny * fz - nz * fy, nz * fx - nx * fz, nx * fy - ny * fx
+        dx, dy, dz = (joints[:, JointId.MIDDLE_PROXIMAL] - wrist).T
+        size_len = np.sqrt(dx * dx + dy * dy + dz * dz)
+    rotations = np.stack([lx, nx, fx, ly, ny, fy, lz, nz, fz], axis=-1).reshape(-1, 3, 3)
+    # the comparisons read as `_palm_basis` and `hand_scale` read them, NaN included
+    valid = ~(
+        (forward_len < DEGENERATE_EPS)
+        | (span_len < DEGENERATE_EPS)
+        | (normal_len < DEGENERATE_EPS)
+        | (size_len < DEGENERATE_EPS)
+    )
+    rows = np.flatnonzero(valid)
+    if len(rows) < len(frames):
+        joints, wrist, rotations, size_len = joints[rows], wrist[rows], rotations[rows], size_len[rows]
+    scales = size_len / REFERENCE_LENGTH
+    local = ((joints - wrist[:, None, :]) @ rotations) / scales[:, None, None]
+    rows = rows.tolist()
+    left = [k for k, row in enumerate(rows) if frames[row].side == "left"]
+    local[left, :, 1] = -local[left, :, 1]
+    hands: list[CanonicalHand | None] = [None] * len(frames)
+    for row, joints_local, scale, rotation, translation in zip(rows, local, scales.tolist(), rotations, wrist):
+        palm = RigidTransform(rotation=rotation, translation=translation)
+        hands[row] = CanonicalHand(joints_local=joints_local, scale=scale, palm=palm)
+    return hands

@@ -12,7 +12,8 @@ order. Malformed lines get one
 
 reply. A bad header draws `header`, `scene` or `technique` and ends the
 session; a rejected frame draws the `code` of its `FrameError` (`parse`,
-`joints`, `degenerate`, `time`, `finished`) and the session continues.
+`joints`, `degenerate`, `time`, `hand`, `finished`) and the session
+continues.
 Line numbers count every line in the session including the header. An `end` line yields a
 single summary line and closes the session. A last line without a
 newline is still a line. Sessions are fully isolated: every connection

@@ -7,12 +7,17 @@ SessionEngine backs the in-process replay API, the CLI, and the TCP
 service, so all three produce byte-identical logs for the same input.
 
 Every frame computes its palm transform once, before any state changes,
-so a degenerate skeleton is rejected without side effects. Hover then
-measures each present object once, where `object_poses` puts it now, and
-the direct techniques grab from those distances. One GrabTracker holds
-the grabbed object under every technique: each frame it carries the held
-object on the palm, then applies the technique's intent. Only the code
-that decides the intent differs:
+so a degenerate skeleton is rejected without side effects. A session
+drives one hand: its first accepted frame binds it to that side, and a
+frame of the other side is refused. A file replay (`SessionEngine.replay`,
+behind `run_replay` and the CLI) reads frames REPLAY_BLOCK at a time and,
+under the template techniques, canonicalizes each block in one call; the
+server and single `feed` calls canonicalize frame by frame, with the same
+bits. Hover then measures each present object once, where `object_poses`
+puts it now, and the direct techniques grab from those distances. One
+GrabTracker holds the grabbed object under every technique: each frame it
+carries the held object on the palm, then applies the technique's intent.
+Only the code that decides the intent differs:
   controller  grip bit edges grab the nearest hovered object / release
   pinch       debounced thumb-index pinch edges grab the nearest / release
   grab        generic grab template, released by release-role templates
@@ -27,7 +32,8 @@ seeded random point in the reach volume after every trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,14 +45,25 @@ from .engine import (
     TemplateStore,
     hover_update,
 )
-from .errors import IncompleteRun, InvalidArgument, ProtocolViolation
-from .hand import HandFrame, RigidTransform, canonicalize, check_time_order, palm_frame, vector_length
+from .errors import FrameError, IncompleteRun, InvalidArgument, ProtocolViolation
+from .hand import (
+    CanonicalHand,
+    HandFrame,
+    RigidTransform,
+    canonicalize,
+    canonicalize_block,
+    check_side,
+    check_time_order,
+    palm_frame,
+    vector_length,
+)
 from .pinch import PinchState
 from .scene import GREEN_LIMIT, YELLOW_LIMIT, ProtocolSpec, Scene, SceneObject
 from .stats import describe
 from .streams import TrialResult
 
 TECHNIQUES = ("controller", "pinch", "grab", "custom")
+REPLAY_BLOCK = 64  # frames a file replay reads ahead and canonicalizes in one call
 
 
 def color_band(distance: float, green_limit: float = GREEN_LIMIT, yellow_limit: float = YELLOW_LIMIT) -> str:
@@ -155,6 +172,7 @@ class SessionEngine:
         self.results: list[TrialResult] = []
         self.finished = False
         self._last_time: float | None = None
+        self._side: str | None = None  # bound by the first accepted frame
 
         self.object_poses: dict[str, RigidTransform] = {
             obj.object_id: RigidTransform(np.eye(3), obj.position.copy())
@@ -226,23 +244,30 @@ class SessionEngine:
 
     # ── frame stepping ─────────────────────────────────────────────────
 
-    def feed(self, frame: HandFrame) -> list[str]:
+    def feed(self, frame: HandFrame, hand: CanonicalHand | None = None) -> list[str]:
         """Advance one frame; returns the event lines it produced.
 
+        `hand` is `canonicalize(frame)` when the caller already has it (a
+        file replay canonicalizes blocks of frames); the template techniques
+        compute it here otherwise, and the direct ones never read it.
+
         Raises TimeOrderError for a frame stamped earlier than the one fed
-        before it (equal stamps are fine), and DegenerateHand for a skeleton
-        without a palm basis, both before any state changes.
+        before it (equal stamps are fine), SideError for a frame of the other
+        hand than the first accepted frame's, and DegenerateHand for a
+        skeleton without a palm basis, all before any state changes.
         """
         if self.finished:
             raise ProtocolViolation("frame arrived after the run finished", frame.line_no)
         check_time_order(frame, self._last_time)
+        check_side(frame, self._side)
         if self._template_intent is not None:
-            hand = canonicalize(frame)
+            if hand is None:
+                hand = canonicalize(frame)
             palm = hand.palm
         else:
-            hand = None
             palm = palm_frame(frame)
         self._last_time = frame.timestamp
+        self._side = frame.side
         if (
             self._protocol is not None
             and self._active is None
@@ -304,6 +329,36 @@ class SessionEngine:
     def summary(self) -> RunSummary:
         return summarize(self.results, self.technique)
 
+    def replay(self, frames: Iterable[HandFrame]) -> Iterator[list[str]]:
+        """Feed a file's frames until the run finishes; yields each frame's event lines.
+
+        Frames are read REPLAY_BLOCK at a time, and the template techniques
+        canonicalize each block in one call. Errors come out as from a loop
+        that reads and feeds one frame at a time: a line that cannot be read
+        is raised after the frames before it are fed, and frames past the
+        finishing one are ignored, but the first of them is still read.
+        """
+        frames = iter(frames)
+        while True:
+            block: list[HandFrame] = []
+            error: FrameError | None = None
+            try:
+                for frame in frames:
+                    block.append(frame)
+                    if len(block) == REPLAY_BLOCK:
+                        break
+            except FrameError as exc:
+                error = exc
+            hands = canonicalize_block(block) if block and self._template_intent is not None else repeat(None)
+            for frame, hand in zip(block, hands):
+                if self.finished:
+                    return
+                yield self.feed(frame, hand)
+            if error is not None:
+                raise error
+            if len(block) < REPLAY_BLOCK:
+                return
+
 
 def run_replay(
     scene: Scene,
@@ -318,11 +373,7 @@ def run_replay(
     summary ride on the exception.
     """
     engine = SessionEngine(scene, store, technique)
-    lines: list[str] = []
-    for frame in frames:
-        if engine.finished:
-            break
-        lines.extend(engine.feed(frame))
+    lines = [line for frame_lines in engine.replay(frames) for line in frame_lines]
     if scene.protocol is not None and not engine.finished:
         done = len(engine.results)
         raise IncompleteRun(

@@ -22,7 +22,7 @@ import pytest
 from handgrasp.cli import main
 from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
-from handgrasp.sim import TECHNIQUES, SessionEngine, run_replay
+from handgrasp.sim import REPLAY_BLOCK, TECHNIQUES, SessionEngine, run_replay
 from handgrasp.streams import (
     ScriptBuilder,
     format_frame_line,
@@ -206,15 +206,19 @@ def test_capture_stream_too_short(tmp_path):
     assert not (tmp_path / "x.gesture").exists()
 
 
-@pytest.mark.parametrize("fault, line, field", [("backwards", 201, "t"), ("degenerate", 150, "joints")])
-def test_capture_refuses_a_backwards_or_degenerate_frame_naming_its_line(tmp_path, fault, line, field):
+@pytest.mark.parametrize(
+    "fault, line, field", [("backwards", 201, "t"), ("degenerate", 150, "joints"), ("other-side", 120, "hand")]
+)
+def test_capture_refuses_a_backwards_degenerate_or_other_side_frame_naming_its_line(tmp_path, fault, line, field):
     scene, _ = load_scene(SCENE)
     nail = scene.object_by_id("nail")
     frames = synth_stream("fist", duration=4.0, at=nail.position)
     if fault == "backwards":  # every frame from `line` on is stamped 0.5 s earlier
         frames[line - 1 :] = [replace(f, timestamp=f.timestamp - 0.5) for f in frames[line - 1 :]]
-    else:  # all 25 joints at one point
+    elif fault == "degenerate":  # all 25 joints at one point
         frames[line - 1] = replace(frames[line - 1], joints=np.tile(nail.position, (25, 1)))
+    else:  # the same pose, mirrored onto a left hand
+        frames[line - 1] = replace(frames[line - 1], side="left")
     stream, out = tmp_path / f"{fault}.frames", tmp_path / "nail.gesture"
     write_frames(stream, frames)
     result = _run("capture", "--in", str(stream), "--scene", str(SCENE),
@@ -456,6 +460,77 @@ def test_frame_earlier_than_the_last_is_a_data_error(tmp_path, custom_stream, co
 def test_skeleton_without_a_palm_basis_is_a_data_error_naming_line_and_field(tmp_path, custom_stream, command):
     result = _run_with_line_40_edited(tmp_path, custom_stream, command, joints=np.zeros((25, 3)))
     assert result.stderr.endswith("palm anchors coincide (line 40, field joints)\n")
+
+
+# Line 100 lies inside the second block of frames a file replay reads ahead
+# and canonicalizes at once (lines 65-128), so these check that the frames
+# before a rejected line are fed, and their events printed, before it is
+# reported, as a replay that reads one frame at a time does.
+LINE_100_FAULTS = {
+    "json": lambda frame, text: text[:50],  # the line cut short
+    "joints": lambda frame, text: format_frame_line(replace(frame, joints=np.zeros((25, 3)))),
+    "t": lambda frame, text: format_frame_line(replace(frame, timestamp=frame.timestamp - 0.1)),
+    "hand": lambda frame, text: format_frame_line(replace(frame, side="left")),
+}
+
+
+@pytest.mark.parametrize("command", ["recognize", "simulate"])
+@pytest.mark.parametrize("field", sorted(LINE_100_FAULTS))
+def test_rejected_line_inside_a_read_ahead_block_is_reported_after_the_frames_before_it(
+    tmp_path, custom_stream, command, field
+):
+    lines = custom_stream.read_text().splitlines(keepends=True)
+    frame = parse_frame_line(lines[99], line_no=100)
+    lines[99] = LINE_100_FAULTS[field](frame, lines[99].rstrip("\n")) + "\n"
+    bad, out = tmp_path / "bad.frames", tmp_path / "x.csv"
+    bad.write_text("".join(lines))
+    args = [command, "--in", str(bad), "--scene", str(SCENE), "--technique", "custom"]
+    if command == "simulate":
+        args += ["--out", str(out)]
+    result = _run(*args)
+    assert result.returncode == 2
+    assert result.stderr.startswith("data error: ")
+    assert result.stderr.endswith(f" (line 100, field {field})\n")
+    if command == "recognize":
+        engine = SessionEngine(*load_scene(SCENE), "custom")
+        earlier = [event for line in lines[:99] for event in engine.feed(parse_frame_line(line))]
+        assert earlier and result.stdout.splitlines() == earlier
+    else:
+        assert result.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["appended", "two-after-the-last-fed"])
+def test_malformed_line_past_the_last_trial_leaves_simulate_golden(tmp_path, custom_stream, where):
+    lines = custom_stream.read_text().splitlines(keepends=True)
+    if where == "appended":
+        lines.append("not a frame\n")
+    else:  # inside the block the finishing frame was read with
+        engine = SessionEngine(*load_scene(SCENE), "custom")
+        fed = next(n for n, line in enumerate(lines, 1) if engine.feed(parse_frame_line(line)) and engine.finished)
+        assert fed % REPLAY_BLOCK not in (0, REPLAY_BLOCK - 1)
+        lines.insert(fed + 1, "not a frame\n")
+    spoiled, out, events = tmp_path / "spoiled.frames", tmp_path / "results.csv", tmp_path / "events.log"
+    spoiled.write_text("".join(lines))
+    result = _run("simulate", "--in", str(spoiled), "--scene", str(SCENE),
+                  "--technique", "custom", "--out", str(out), "--events", str(events))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert out.read_bytes() == (GOLDEN / "results_custom.csv").read_bytes()
+    assert events.read_bytes() == (GOLDEN / "events_custom.log").read_bytes()
+
+
+def test_recognize_refuses_a_hand_of_the_other_side_naming_its_line(tmp_path):
+    # a right hand at the nail, then a left one 0.82 m away at the same stamps:
+    # one hand model would hover and unhover the nail on every frame
+    scene, _ = load_scene(SCENE)
+    nail = scene.object_by_id("nail").position
+    right = synth_stream("open", duration=0.1, at=nail)
+    left = synth_stream("open", duration=0.1, at=nail + (0.82, 0.0, 0.0), side="left")
+    stream = tmp_path / "two-hands.frames"
+    write_frames(stream, [frame for pair in zip(right, left) for frame in pair])
+    result = _run("recognize", "--in", str(stream), "--scene", str(SCENE), "--technique", "controller")
+    assert result.returncode == 2
+    assert result.stdout == f"hover nail {right[0].timestamp!r}\n"
+    assert result.stderr.endswith(" (line 2, field hand)\n")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from handgrasp.engine import (
     DISTANCE_BUDGET,
     HOVER_RADIUS,
     RELEASE,
+    STACK_CACHE_LIMIT,
     CaptureEvent,
     CaptureSession,
     GestureTemplate,
@@ -194,6 +198,66 @@ def test_template_store_stacks_the_role_templates_of_the_given_owners():
     assert store.stack(frozenset(), "grab")[0] == ()
     store.add(GestureTemplate("a-grab-2", "a", "grab", local))
     assert store.stack(frozenset({"a", "b"}), "grab")[0] == ("a-grab", "a-grab-2", "b-grab")
+
+
+def _nine_owner_store() -> tuple[TemplateStore, CanonicalHand]:
+    """Nine owners (512 hovered sets), each with a grab template 1-9 mm off a
+    fist, and the fist, which every one of them matches."""
+    hand = canonicalize(pose_frame("fist"))
+    store = TemplateStore()
+    for k in range(9):
+        offset = np.array([0.001 * (9 - k) / 25, 0.0, 0.0])  # summed over the 25 joints
+        store.add(GestureTemplate(f"t{k}", f"o{k}", "grab", hand.joints_local + offset))
+    return store, hand
+
+
+def _hovered_sets() -> list[frozenset[str]]:
+    owners = [f"o{k}" for k in range(9)]
+    return [frozenset(c) for n in range(10) for c in itertools.combinations(owners, n)]
+
+
+def test_template_store_keeps_at_most_the_cache_limit_of_stacks_and_matches_as_uncached():
+    store, hand = _nine_owner_store()
+    hovered_sets = _hovered_sets()
+    assert len(hovered_sets) > STACK_CACHE_LIMIT
+    for hovered in hovered_sets + hovered_sets[:100]:
+        uncached, _ = _nine_owner_store()
+        assert recognize(hand, hovered, store, "grab") == recognize(hand, hovered, uncached, "grab")
+        assert len(store._stacks) <= STACK_CACHE_LIMIT
+    assert len(store._stacks) == STACK_CACHE_LIMIT
+    # the best of the hovered owners wins: the last-numbered one sits nearest
+    assert recognize(hand, frozenset({"o2", "o7", "o4"}), store, "grab").gesture == "t7"
+
+
+def test_template_store_shared_by_threads_stays_within_the_cache_limit():
+    store, hand = _nine_owner_store()
+    reference, _ = _nine_owner_store()
+    hovered_sets = _hovered_sets()
+    expected = {hovered: recognize(hand, hovered, reference, "grab") for hovered in hovered_sets}
+    failures: list[Exception] = []
+
+    def work(offset: int) -> None:
+        try:
+            for k in range(len(hovered_sets)):
+                hovered = hovered_sets[(k * 7 + offset) % len(hovered_sets)]
+                if recognize(hand, hovered, store, "grab") != expected[hovered]:
+                    raise AssertionError(f"wrong match for {sorted(hovered)}")
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(store._stacks) <= STACK_CACHE_LIMIT
 
 
 def test_template_store_rejects_duplicate_names():

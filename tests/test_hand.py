@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from handgrasp.errors import DegenerateHand
+from handgrasp.errors import DegenerateHand, SideError
 from handgrasp.hand import (
     DEGENERATE_EPS,
     JOINT_COUNT,
@@ -15,6 +15,8 @@ from handgrasp.hand import (
     JointId,
     RigidTransform,
     canonicalize,
+    canonicalize_block,
+    check_side,
     hand_scale,
     palm_frame,
     vector_length,
@@ -291,3 +293,98 @@ def test_degenerate_anchors_raise_exactly_where_the_reference_does(seed, kind, g
         assert actual == expected
     else:
         assert np.array_equal(actual, expected)
+
+
+def _spoil(joints: np.ndarray, rng: np.random.Generator, kind: str, gap: float) -> None:
+    """Move one anchor so that the length one degenerate test reads is about `gap`."""
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    if kind == "forward":  # middle metacarpal on the wrist
+        joints[JointId.MIDDLE_METACARPAL] = joints[JointId.WRIST] + gap * direction
+    elif kind == "span":  # index metacarpal on the pinky one
+        joints[JointId.INDEX_METACARPAL] = joints[JointId.PINKY_METACARPAL] + gap * direction
+    elif kind == "collinear":  # index-pinky span along the wrist-middle line, nudged off it
+        forward = joints[JointId.MIDDLE_METACARPAL] - joints[JointId.WRIST]
+        span = rng.uniform(0.5, 1.5) * forward
+        across = np.cross(forward, direction)
+        across /= np.linalg.norm(across)
+        # the unit normal's length is then about `gap`
+        joints[JointId.INDEX_METACARPAL] = (
+            joints[JointId.PINKY_METACARPAL] + span + gap * np.linalg.norm(span) * across
+        )
+    else:  # "size": middle proximal on the wrist
+        joints[JointId.MIDDLE_PROXIMAL] = joints[JointId.WRIST] + gap * direction
+
+
+# no explain phase: on a failure it runs for minutes and grows to a gigabyte
+@settings(
+    max_examples=150,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.sampled_from((1, 63, 64, 65)),
+    spoiled=st.lists(
+        st.tuples(
+            st.integers(0, 64),
+            st.sampled_from(("forward", "span", "collinear", "size")),
+            st.one_of(st.sampled_from((0.0, 1e-12, DEGENERATE_EPS, 1e-6)), st.floats(0.0, 1e-8)),
+        ),
+        max_size=6,
+    ),
+)
+def test_block_kernel_is_bit_equal_to_canonicalize_and_none_exactly_where_it_raises(seed, length, spoiled):
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(length):
+        side = ("left", "right")[rng.integers(2)]
+        joints = random_pose_joints(rng)
+        if side == "left":
+            joints = joints * np.array([-1.0, 1.0, 1.0])
+        joints = (joints * rng.uniform(0.5, 2.0)) @ random_rotation(rng).T + rng.uniform(-5.0, 5.0, 3)
+        frames.append(HandFrame(0.0, side, joints))
+    for row, (kind, gap) in {row % length: (kind, gap) for row, kind, gap in spoiled}.items():
+        _spoil(frames[row].joints, rng, kind, gap)
+
+    for frame, hand in zip(frames, canonicalize_block(frames), strict=True):
+        try:
+            expected = canonicalize(frame)
+        except DegenerateHand:
+            assert hand is None
+            continue
+        assert hand is not None
+        assert hand.joints_local.tobytes() == expected.joints_local.tobytes()
+        assert np.float64(hand.scale).tobytes() == np.float64(expected.scale).tobytes()
+        assert hand.palm.rotation.tobytes() == expected.palm.rotation.tobytes()
+        assert hand.palm.translation.tobytes() == expected.palm.translation.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["forward", "span", "collinear", "size"])
+def test_block_kernel_draws_each_degenerate_bound_where_canonicalize_does(kind):
+    rng = np.random.default_rng(19)
+    frames = []
+    for factor in (0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 2.0):
+        joints = random_pose_joints(rng) @ random_rotation(rng).T
+        _spoil(joints, rng, kind, factor * DEGENERATE_EPS)
+        frames.append(HandFrame(0.0, "right", joints))
+    refused = []
+    for frame, hand in zip(frames, canonicalize_block(frames), strict=True):
+        try:
+            expected = canonicalize(frame)
+        except DegenerateHand:
+            refused.append(True)
+            assert hand is None
+            continue
+        refused.append(False)
+        assert hand.joints_local.tobytes() == expected.joints_local.tobytes()
+    assert refused[0] and not refused[-1]  # both sides of the bound are drawn
+
+
+def test_check_side_refuses_only_the_other_side_of_a_bound_stream():
+    frame = HandFrame(0.0, "left", _axis_aligned_joints(), line_no=7)
+    check_side(frame, None)
+    check_side(frame, "left")
+    with pytest.raises(SideError) as caught:
+        check_side(frame, "right")
+    assert (caught.value.code, caught.value.line_no, caught.value.field) == ("hand", 7, "hand")

@@ -10,6 +10,7 @@ import socket
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -247,6 +248,21 @@ def test_frame_earlier_than_the_last_is_a_time_error_and_the_session_continues(s
     expected.append(engine.summary().to_line())
     # the backwards frame is line 152 (header, then 150 good frames), mid-carry
     assert replies == expected[:count] + ["err time 152"] + expected[count:]
+
+
+def test_frame_of_the_other_hand_is_a_hand_error_and_the_session_continues(service):
+    address, scenes = service
+    lines = _mini_stream_lines()
+    frame = parse_frame_line(lines[150])
+    # mirrored and 0.82 m away: a second hand, while the right one carries the cube
+    left = replace(frame, side="left", joints=frame.joints * (-1.0, 1.0, 1.0) + (0.82, 0.0, 0.0))
+    replies = _talk(address, "session mini controller", lines[:150] + [format_frame_line(left)] + lines[150:])
+    engine = SessionEngine(*scenes["mini"], "controller")
+    expected = [event for line in lines[:150] for event in engine.feed(parse_frame_line(line))]
+    count = len(expected)
+    expected += [event for line in lines[150:] for event in engine.feed(parse_frame_line(line))]
+    expected.append(engine.summary().to_line())
+    assert replies == expected[:count] + ["err hand 152"] + expected[count:]
 
 
 def _exchange(address, payload: bytes) -> bytes:

@@ -21,10 +21,12 @@ from handgrasp import hand
 from handgrasp.engine import TemplateStore
 from handgrasp.errors import (
     DegenerateHand,
+    FrameError,
     IncompleteRun,
     InvalidArgument,
     ParseError,
     ProtocolViolation,
+    SideError,
     TimeOrderError,
 )
 from handgrasp.scene import (
@@ -37,6 +39,7 @@ from handgrasp.scene import (
 )
 from handgrasp.scripts import script_protocol_run
 from handgrasp.sim import (
+    REPLAY_BLOCK,
     TECHNIQUES,
     SessionEngine,
     color_band,
@@ -258,6 +261,89 @@ def test_run_replay_is_deterministic(demo):
     assert first[2] == second[2]
     assert first[1].placements == len(scene.objects) * scene.protocol.repeats
     assert first[1].drops == 0
+
+
+def _fed_one_by_one(engine: SessionEngine, frames) -> tuple[list[list[str]], tuple | None]:
+    """Each frame read, then fed unless the run has finished: the replay loop
+    that block read-ahead must not change. Returns each fed frame's lines and
+    the (type, line, field) of the error that ended the replay, if any."""
+    fed: list[list[str]] = []
+    try:
+        for frame in frames:
+            if engine.finished:
+                break
+            fed.append(engine.feed(frame))
+    except FrameError as exc:
+        return fed, (type(exc), exc.line_no, exc.field)
+    return fed, None
+
+
+def _replayed(engine: SessionEngine, frames) -> tuple[list[list[str]], tuple | None]:
+    fed: list[list[str]] = []
+    try:
+        fed.extend(engine.replay(frames))
+    except FrameError as exc:
+        return fed, (type(exc), exc.line_no, exc.field)
+    return fed, None
+
+
+def _spoiled_read(frames: list, line_no: int, fault: str):
+    """`frames` as a file reader yields them, numbered from line 1, with the
+    frame at `line_no` spoiled by `fault`; an unreadable line ends the reading."""
+    for n, frame in enumerate(frames, start=1):
+        frame = replace(frame, line_no=n)
+        if n == line_no:
+            if fault == "json":
+                raise ParseError("unreadable line", n, "json")
+            frame = replace(frame, **{
+                "joints": {"joints": np.zeros((25, 3))},
+                "t": {"timestamp": frame.timestamp - 0.1},
+                "hand": {"side": "left"},
+            }[fault])
+        yield frame
+
+
+@pytest.mark.parametrize("technique", ["custom", "controller"])
+def test_replay_reads_ahead_in_blocks_as_a_frame_by_frame_loop_reads(demo, technique):
+    scene, store = demo
+    scene = replace(scene, objects=scene.objects[:2], protocol=replace(scene.protocol, repeats=1))
+    clean = script_protocol_run(scene, technique)
+    reference = SessionEngine(scene, store, technique)
+    finish = next(n for n, frame in enumerate(clean, start=1) if reference.feed(frame) and reference.finished)
+    # repeats of the first frame (equal stamps, no events) shift the finishing
+    # frame from the middle to the end of its block; repeats of the last one
+    # give the run a full block past its end
+    pads = (0, -finish % REPLAY_BLOCK)
+    assert pads[1] > 0
+    for pad in pads:
+        frames = [clean[0]] * pad + clean + [clean[-1]] * REPLAY_BLOCK
+        end = finish + pad
+        block_end = -(-end // REPLAY_BLOCK) * REPLAY_BLOCK
+        for line_no in (1, 2, 63, 64, 65, 100, end - 1, end, end + 1, end + 2, block_end, block_end + 1):
+            for fault in ("json", "joints", "t", "hand"):
+                expected = _fed_one_by_one(SessionEngine(scene, store, technique), _spoiled_read(frames, line_no, fault))
+                engine = SessionEngine(scene, store, technique)
+                assert _replayed(engine, _spoiled_read(frames, line_no, fault)) == expected, (pad, line_no, fault)
+                assert engine.finished == (expected[1] is None or expected[1][1] > end)
+
+
+def test_first_accepted_frame_binds_the_session_to_its_side():
+    # a right hand at the cube and a left one 0.82 m away, at the same stamps:
+    # a session driving one hand model from both would hover and unhover on every frame
+    engine = SessionEngine(_mini_scene(), TemplateStore(), "controller")
+    degenerate = hand.HandFrame(0.0, "left", np.zeros((25, 3)), line_no=1)
+    with pytest.raises(DegenerateHand):
+        engine.feed(degenerate)  # rejected, so it binds nothing
+    lines = []
+    for i in range(9):
+        right = pose_frame("open", timestamp=i / 90.0, at=CUBE_AT)
+        left = pose_frame("open", timestamp=i / 90.0, at=CUBE_AT + (0.82, 0.0, 0.0), side="left")
+        lines.extend(engine.feed(right))
+        with pytest.raises(SideError) as caught:
+            engine.feed(replace(left, line_no=2 * i + 3))
+        assert (caught.value.code, caught.value.line_no, caught.value.field) == ("hand", 2 * i + 3, "hand")
+    assert lines == ["hover cube 0.0"]
+    assert engine.hovered == frozenset({"cube"})
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
