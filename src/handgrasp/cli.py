@@ -70,6 +70,17 @@ def _finite_arg(strict: bool):
     return finite_number
 
 
+def _seed_arg(text: str) -> int:
+    """An argparse type: an integer >= 0, as numpy's seeding requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="handgrasp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=_finite_arg(strict=False), required=True, help="seconds")
     p.add_argument("--rate", type=_finite_arg(strict=True), default=TRACKER_RATE, help="frames per second")
     p.add_argument("--sigma", type=_finite_arg(strict=False), default=0.0, help="per-coordinate noise SD, meters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0, help="noise seed, an integer >= 0")
     p.add_argument("--side", default="right", choices=("left", "right"))
     p.add_argument("--at", type=_vec3_arg, default=(0.0, 0.0, 0.0), help="wrist position x,y,z")
     p.add_argument("--out", required=True)

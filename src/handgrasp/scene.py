@@ -124,11 +124,14 @@ def load_scene(path: str | Path) -> tuple[Scene, TemplateStore]:
 
     protocol = None
     if (raw := fields.section("protocol")) is not None:
+        reach_min, reach_max = raw.vec3("reach_min"), raw.vec3("reach_max")
+        if any(high < low for low, high in zip(reach_min, reach_max)):
+            raise raw.error("reach_max", f"be >= reach_min on every axis, got {reach_max} against {reach_min}")
         protocol = ProtocolSpec(
             repeats=raw.integer("repeats", 1, DEFAULT_REPEATS),
             seed=raw.integer("seed", 0, 0),
-            reach_min=raw.vec3("reach_min"),
-            reach_max=raw.vec3("reach_max"),
+            reach_min=reach_min,
+            reach_max=reach_max,
             disappear_delay=raw.number("disappear_delay", DISAPPEAR_DELAY),
         )
 

@@ -20,6 +20,7 @@ from .engine import GestureTemplate
 from .errors import InvalidArgument
 from .hand import canonicalize
 from .scene import ProtocolSpec, Scene, SceneObject, TargetSphere, save_scene
+from .seeded import SeededStream
 from .sim import TECHNIQUES, target_centers
 from .streams import ScriptBuilder, pose_frame, save_template
 
@@ -107,13 +108,13 @@ def script_protocol_run(scene: Scene, technique: str):
 
     sequence = [obj for _ in range(scene.protocol.repeats) for obj in scene.objects]
     jitter_seed = scene.protocol.seed + 101 * (TECHNIQUES.index(technique) + 1)
-    jitter = np.random.default_rng(jitter_seed)
+    jitter = SeededStream(jitter_seed)
 
     builder = ScriptBuilder()
     object_index = {obj.object_id: i for i, obj in enumerate(scene.objects)}
     for obj, target in zip(sequence, target_centers(scene.protocol, scene.target.center)):
-        release_at = target + jitter.uniform(-_RELEASE_JITTER, _RELEASE_JITTER, 3)
-        settle = 0.15 + float(jitter.uniform(0.0, _HOLD_JITTER))
+        release_at = target + [jitter.uniform(-_RELEASE_JITTER, _RELEASE_JITTER) for _ in range(3)]
+        settle = 0.15 + jitter.uniform(0.0, _HOLD_JITTER)
         if technique == "controller":
             _controller_trial(builder, obj, release_at, settle)
         elif technique == "pinch":

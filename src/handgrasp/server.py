@@ -13,7 +13,9 @@ order. Malformed lines get one
 reply. A bad header draws `header`, `scene` or `technique` and ends the
 session; a rejected frame draws the `code` of its `FrameError` (`parse`,
 `joints`, `degenerate`, `time`, `hand`, `finished`) and the session
-continues.
+continues. A line longer than LINE_LIMIT bytes is not kept: the server
+discards it up to its newline, then replies `err toolong <line-no>` once.
+An overlong header ends the session; any other overlong line does not.
 Line numbers count every line in the session including the header. An `end` line yields a
 single summary line and closes the session. A last line without a
 newline is still a line. Sessions are fully isolated: every connection
@@ -43,25 +45,32 @@ from .sim import SessionEngine
 from .streams import parse_frame_line
 
 
+LINE_LIMIT = 64 * 1024  # bytes in one line, newline excluded; a longer line draws `err toolong`
+
+
 class _SessionHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
         self.engine: SessionEngine | None = None
         self.line_no = 0
-        tail: list[bytes] = []  # pieces of a line whose newline has not arrived
+        tail = bytearray()  # the start of a line whose newline has not arrived
+        discarding = False  # that line passed LINE_LIMIT, and its bytes are dropped
         while True:
             chunk = self.rfile.read1(io.DEFAULT_BUFFER_SIZE)
             if chunk:
                 *lines, rest = chunk.split(b"\n")
                 if lines:
-                    lines[0] = b"".join(tail) + lines[0]
-                    tail = []
-                if rest:
-                    tail.append(rest)
+                    # a line that passed LINE_LIMIT is handed on as None
+                    lines[0] = None if discarding else tail + lines[0]
+                    tail, discarding = bytearray(), False
+                if not discarding:
+                    tail += rest
+                    if len(tail) > LINE_LIMIT:
+                        tail, discarding = bytearray(), True
             else:
                 # the client went away; a last line without a newline still counts
-                lines, tail = ([b"".join(tail)] if tail else []), []
+                lines = [None] if discarding else [tail] if tail else []
             replies: list[str] = []
             ended = any(self._line(raw, replies) for raw in lines)
             if replies:
@@ -69,13 +78,17 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             if ended or not chunk:
                 return
 
-    def _line(self, raw: bytes, replies: list[str]) -> bool:
+    def _line(self, raw: bytes | bytearray | None, replies: list[str]) -> bool:
         """Handle one line, header included, appending its replies to
-        `replies`; True when the session has ended."""
+        `replies`; True when the session has ended. `raw` is None for a
+        line whose bytes were discarded past LINE_LIMIT."""
         self.line_no += 1
         line_no = self.line_no
-        text = raw.decode("utf-8", errors="replace").strip()
         engine = self.engine
+        if raw is None or len(raw) > LINE_LIMIT:
+            replies.append(f"err toolong {line_no}")
+            return engine is None
+        text = raw.decode("utf-8", errors="replace").strip()
         if engine is None:
             parts = text.split()
             if len(parts) != 3 or parts[0] != "session":

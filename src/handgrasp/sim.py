@@ -59,6 +59,7 @@ from .hand import (
 )
 from .pinch import PinchState
 from .scene import GREEN_LIMIT, YELLOW_LIMIT, ProtocolSpec, Scene, SceneObject
+from .seeded import SeededStream
 from .stats import describe
 from .streams import TrialResult
 
@@ -107,9 +108,10 @@ def _zigzag(j: int) -> int:
 def target_centers(protocol: ProtocolSpec, initial_center: np.ndarray) -> Iterator[np.ndarray]:
     """Target center for each trial in turn: the configured center, then seeded draws."""
     yield np.asarray(initial_center, dtype=np.float64)
-    rng = np.random.default_rng(protocol.seed)
+    draws = SeededStream(protocol.seed)
+    bounds = list(zip(protocol.reach_min.tolist(), protocol.reach_max.tolist()))
     while True:
-        yield rng.uniform(protocol.reach_min, protocol.reach_max)
+        yield np.array([draws.uniform(low, high) for low, high in bounds])
 
 
 def draw_target_centers(protocol: ProtocolSpec, initial_center: np.ndarray, count: int) -> list[np.ndarray]:

@@ -128,6 +128,17 @@ def test_synth_number_it_cannot_use_is_a_usage_error_before_writing(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["0", "0.01"])
+def test_synth_negative_seed_is_a_usage_error_whatever_the_noise(tmp_path, sigma):
+    out = tmp_path / "x.frames"
+    result = _run("synth", "--pose", "open", "--duration", "0.1", "--sigma", sigma, "--seed", "-3",
+                  "--out", str(out))
+    assert result.returncode == 1
+    assert "argument --seed: expected an integer >= 0, got '-3'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 # ── latin-square ─────────────────────────────────────────────────────────
 
 

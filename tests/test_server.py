@@ -23,7 +23,7 @@ from handgrasp.errors import FrameError
 from handgrasp.hand import HandFrame
 from handgrasp.scene import ProtocolSpec, Scene, SceneObject, TargetSphere, load_scene, save_scene
 from handgrasp.scripts import script_protocol_run
-from handgrasp.server import GraspServer
+from handgrasp.server import LINE_LIMIT, GraspServer
 from handgrasp.sim import SessionEngine
 from handgrasp.streams import format_frame_line, parse_frame_line, pose_frame
 
@@ -283,6 +283,30 @@ def test_last_line_without_newline_is_still_handled(service):
     assert len(replies) == 1 and replies[0].startswith("summary technique=custom trials=0 ")
 
 
+def test_line_past_the_limit_is_discarded_and_the_session_goes_on(service):
+    address, scenes = service
+    frame = _mini_stream_lines()[0]
+    engine = SessionEngine(*scenes["mini"], "controller")
+    expected = ["err toolong 2", *engine.feed(parse_frame_line(frame)), engine.summary().to_line()]
+    with socket.create_connection(address, timeout=60) as sock:
+        sock.settimeout(300)
+        sock.sendall(b"session mini controller\n")
+        piece = b"x" * 8192
+        for _ in range(200 * 1024 // len(piece)):
+            sock.sendall(piece)
+        sock.sendall(f"\n{frame}\nend\n".encode())
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("r", encoding="utf-8") as reader:
+            assert [line.rstrip("\n") for line in reader] == expected
+
+
+def test_header_past_the_limit_ends_the_session(service):
+    address, _ = service
+    header = b"session demo custom " + b" " * LINE_LIMIT
+    assert _exchange(address, header + b"\nsession demo custom\nend\n") == b"err toolong 1\n"
+    assert _exchange(address, header) == b"err toolong 1\n"  # unterminated, then the client went away
+
+
 # ── stopping ─────────────────────────────────────────────────────────────
 
 
@@ -405,6 +429,8 @@ _BAD_LINES = (
     ("\u270b hand \U0001f91a emoji", "parse"),
     ("\xfc\u00df", "parse"),
     ("", None),
+    (" " * LINE_LIMIT, None),  # blank, and just short enough to be kept
+    ("\u270b" * (LINE_LIMIT // 3 + 1), "toolong"),
 )
 
 
@@ -475,5 +501,5 @@ def _subclasses(cls) -> set:
 def test_readme_lists_the_header_codes_and_the_code_of_every_frame_error():
     readme = (DATA.parent / "README.md").read_text()
     listed = re.search(r"`err <code> <line-no>` reply \(([^)]*)\)", readme).group(1)
-    codes = {"header", "scene", "technique"} | {cls.code for cls in _subclasses(FrameError)}
+    codes = {"header", "scene", "technique", "toolong"} | {cls.code for cls in _subclasses(FrameError)}
     assert set(re.findall(r"`(\w+)`", listed)) == codes

@@ -48,7 +48,14 @@ from handgrasp.sim import (
     run_replay,
     summarize,
 )
-from handgrasp.streams import COORDINATE_LIMIT, TrialResult, pose_frame, synth_stream
+from handgrasp.streams import (
+    COORDINATE_LIMIT,
+    TrialResult,
+    format_frame_line,
+    parse_frame_line,
+    pose_frame,
+    synth_stream,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 TARGET = np.array([0.0, 0.2, 0.5])
@@ -524,6 +531,23 @@ def test_target_centers_are_seed_deterministic():
     assert not np.array_equal(a[1], other[1])
 
 
+def test_scripted_run_is_deterministic_in_its_seed():
+    scene, store = load_scene(DEMO / "scene.json")
+    reseeded = replace(scene, protocol=replace(scene.protocol, seed=scene.protocol.seed + 1))
+    lines = {}
+    for name, at in (("first", scene), ("again", scene), ("reseeded", reseeded)):
+        lines[name] = [format_frame_line(frame) for frame in script_protocol_run(at, "grab")]
+    assert lines["first"] == lines["again"]
+    assert lines["reseeded"] != lines["first"]
+    # another seed gives other targets, and the script follows them
+    trials = len(scene.objects) * scene.protocol.repeats
+    ours = draw_target_centers(scene.protocol, scene.target.center, trials)
+    theirs = draw_target_centers(reseeded.protocol, reseeded.target.center, trials)
+    assert all(not np.array_equal(a, b) for a, b in zip(ours[1:], theirs[1:]))
+    _, summary, _ = run_replay(reseeded, store, "grab", [parse_frame_line(line) for line in lines["reseeded"]])
+    assert summary.placements == trials
+
+
 _BILLION_REPEATS = """
 import sys, time
 from dataclasses import replace
@@ -689,6 +713,22 @@ def test_scene_protocol_requires_target(tmp_path):
     with pytest.raises(ParseError) as err:
         load_scene(path)
     assert "target" in str(err.value)
+
+
+def test_scene_reach_box_turned_inside_out_is_refused_naming_reach_max(tmp_path):
+    for source in DEMO.iterdir():
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    document = json.loads((DEMO / "scene.json").read_text())
+    document["protocol"]["reach_max"][0] = -0.5  # below reach_min's -0.45
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ParseError) as err:
+        load_scene(path)
+    assert err.value.field == "protocol.reach_max"
+    document["protocol"]["reach_max"][0] = -0.45  # a box of zero width on one axis is fine
+    path.write_text(json.dumps(document))
+    scene, _ = load_scene(path)
+    assert all(center[0] == -0.45 for center in draw_target_centers(scene.protocol, scene.target.center, 9)[1:])
 
 
 def test_scene_bad_color_bands(tmp_path):
