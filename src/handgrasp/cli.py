@@ -70,15 +70,19 @@ def _finite_arg(strict: bool):
     return finite_number
 
 
-def _seed_arg(text: str) -> int:
-    """An argparse type: an integer >= 0, as numpy's seeding requires."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_arg(least: int, most: float = math.inf):
+    """An argparse type: an integer from `least` to `most`."""
+
+    def integer(text: str) -> int:
+        try:
+            if least <= int(text) <= most:
+                return int(text)
+        except ValueError:
+            pass
+        bound = f">= {least}" if most == math.inf else f"from {least} to {most}"
+        raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=_finite_arg(strict=False), required=True, help="seconds")
     p.add_argument("--rate", type=_finite_arg(strict=True), default=TRACKER_RATE, help="frames per second")
     p.add_argument("--sigma", type=_finite_arg(strict=False), default=0.0, help="per-coordinate noise SD, meters")
-    p.add_argument("--seed", type=_seed_arg, default=0, help="noise seed, an integer >= 0")
+    p.add_argument("--seed", type=_int_arg(0), default=0, help="noise seed, an integer >= 0")
     p.add_argument("--side", default="right", choices=("left", "right"))
     p.add_argument("--at", type=_vec3_arg, default=(0.0, 0.0, 0.0), help="wrist position x,y,z")
     p.add_argument("--out", required=True)
@@ -129,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_latin_square)
 
     p = sub.add_parser("serve", help="line-protocol TCP recognition service")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_int_arg(0, 65535), required=True, help="TCP port, 0 for any free one")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--scene", action="append", required=True, help="scene config (repeatable)")
     p.set_defaults(func=_cmd_serve)

@@ -7,14 +7,16 @@ factor, which makes the downstream template comparison invariant to
 where the hand is, how it is rotated, and how large it is. Left hands
 are mirrored onto right-hand convention so one template serves both.
 
-The palm basis is computed once per frame, in scalar arithmetic: the same
-operations in the same order as the cross-product formulation, so the same
-bits. `canonicalize` hands its palm transform on with the canonical joints,
-and a held object rides that transform instead of a second computation.
-A file replay canonicalizes blocks of frames with `canonicalize_block`,
-which takes the same operations in the same order over arrays and gives
-every frame the bits `canonicalize` gives it; the live paths (server,
-capture, a library caller's `feed`) keep the per-frame kernel.
+Every frame is admitted by canonicalization, whatever the technique: a
+skeleton without a palm basis or a size is refused before anything reads
+it. The palm basis is computed once per frame, in scalar arithmetic: the
+same operations in the same order as the cross-product formulation, so
+the same bits. `canonicalize` hands its palm transform on with the
+canonical joints, and a held object rides that transform. Two kernels
+give those bits: `canonicalize` for live frames (server, capture, a
+library caller's `feed`) and `canonicalize_block` for the blocks of a
+file replay, which takes the same operations in the same order over
+arrays.
 """
 
 from __future__ import annotations
@@ -180,60 +182,43 @@ def _palm_basis(frame: HandFrame) -> np.ndarray:
     return np.array([[lx, nx, fx], [ly, ny, fy], [lz, nz, fz]])
 
 
-def palm_frame(frame: HandFrame) -> RigidTransform:
-    """Palm pose in world space: origin at the wrist, right-handed axes.
-
-    Forward points from the wrist toward the middle metacarpal, the
-    normal is perpendicular to the palm, and the lateral axis completes
-    the basis (lateral x normal = forward). The basis is computed in
-    scalar arithmetic and has the same bits as the vector formulation
-    with cross products. `canonicalize` returns this transform as
-    `CanonicalHand.palm`, so a frame that is canonicalized needs no
-    second call.
-
-    Raises DegenerateHand when the wrist and the index/middle/pinky
-    metacarpals do not span a plane.
-    """
-    return RigidTransform(
-        rotation=_palm_basis(frame), translation=frame.joints[JointId.WRIST].copy()
-    )
-
-
-def hand_scale(frame: HandFrame) -> float:
-    """Hand size factor: wrist-to-middle-proximal length over 0.09 m."""
-    length = vector_length(frame.joints[JointId.MIDDLE_PROXIMAL] - frame.joints[JointId.WRIST])
-    if length < DEGENERATE_EPS:
-        raise DegenerateHand("wrist and middle proximal coincide", frame.line_no, "joints")
-    return length / REFERENCE_LENGTH
-
-
 def canonicalize(frame: HandFrame) -> CanonicalHand:
     """Express all joints in the palm basis, divided by the size factor.
 
-    The wrist maps to the origin. Left hands get their palm-normal
+    The palm basis has its origin at the wrist and right-handed axes:
+    forward points from the wrist toward the middle metacarpal, the normal
+    is perpendicular to the palm, and the lateral axis completes the basis
+    (lateral x normal = forward). The size factor is the wrist-to-middle-
+    proximal length over REFERENCE_LENGTH. Left hands get their palm-normal
     coordinate negated, which maps a left hand onto the right-hand
-    convention: mirror-image poses canonicalize identically regardless
-    of side. The palm basis is computed once per frame: the unmirrored
-    palm transform comes back as `palm`, for callers that move a held
-    object with the hand.
+    convention: mirror-image poses canonicalize identically regardless of
+    side. The unmirrored palm transform comes back as `palm`, for callers
+    that move a held object with the hand.
+
+    Raises DegenerateHand when the wrist and the index/middle/pinky
+    metacarpals do not span a plane, or the wrist and the middle proximal
+    coincide.
     """
-    palm = palm_frame(frame)
-    scale = hand_scale(frame)
-    offsets = frame.joints - palm.translation
-    local = (offsets @ palm.rotation) / scale
+    rotation = _palm_basis(frame)
+    wrist = frame.joints[JointId.WRIST]
+    length = vector_length(frame.joints[JointId.MIDDLE_PROXIMAL] - wrist)
+    if length < DEGENERATE_EPS:
+        raise DegenerateHand("wrist and middle proximal coincide", frame.line_no, "joints")
+    scale = length / REFERENCE_LENGTH
+    local = ((frame.joints - wrist) @ rotation) / scale
     if frame.side == "left":
         local = local.copy()
         local[:, 1] = -local[:, 1]
-    return CanonicalHand(joints_local=local, scale=scale, palm=palm)
+    return CanonicalHand(joints_local=local, scale=scale, palm=RigidTransform(rotation, wrist.copy()))
 
 
 def canonicalize_block(frames: list[HandFrame]) -> list[CanonicalHand | None]:
     """`canonicalize` of each frame in one pass; None where it would raise DegenerateHand.
 
-    Component arrays over the block take `_palm_basis`'s and `hand_scale`'s
-    operations in the same order, each row rounded as the scalar code rounds
-    it, then one stacked matmul, the division by the scale and the left-hand
-    flip: every hand has the same bits as `canonicalize` gives. It pays only
+    Component arrays over the block take `canonicalize`'s operations in the
+    same order, each row rounded as the scalar code rounds it, then one
+    stacked matmul, the division by the scale and the left-hand flip: every
+    hand has the same bits as `canonicalize` gives. It pays only
     over many frames (a file replay); at one frame it costs several times
     `canonicalize`.
     """
@@ -254,7 +239,7 @@ def canonicalize_block(frames: list[HandFrame]) -> list[CanonicalHand | None]:
         dx, dy, dz = (joints[:, JointId.MIDDLE_PROXIMAL] - wrist).T
         size_len = np.sqrt(dx * dx + dy * dy + dz * dz)
     rotations = np.stack([lx, nx, fx, ly, ny, fy, lz, nz, fz], axis=-1).reshape(-1, 3, 3)
-    # the comparisons read as `_palm_basis` and `hand_scale` read them, NaN included
+    # the comparisons read as `canonicalize` reads them, NaN included
     valid = ~(
         (forward_len < DEGENERATE_EPS)
         | (span_len < DEGENERATE_EPS)

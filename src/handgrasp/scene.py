@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HOVER_RADIUS, RELEASE_DWELL, RELEASE_FACTOR, TemplateStore
+from .errors import InvalidArgument
 from .streams import Fields, load_template, read_json_object
 
 TARGET_DIAMETER = 0.5  # meters
@@ -62,8 +63,17 @@ class ProtocolSpec:
     disappear_delay: float = DISAPPEAR_DELAY
 
     def __post_init__(self):
+        """Refuse what `load_scene` refuses in a file, so a protocol built in code cannot fail mid-run."""
         object.__setattr__(self, "reach_min", np.asarray(self.reach_min, dtype=np.float64))
         object.__setattr__(self, "reach_max", np.asarray(self.reach_max, dtype=np.float64))
+        if not np.all(self.reach_max >= self.reach_min):
+            raise InvalidArgument(f"reach_max must be >= reach_min on every axis, got {self.reach_max} against {self.reach_min}")
+        if not isinstance(self.repeats, int) or self.repeats < 1:
+            raise InvalidArgument(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidArgument(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not 0 <= self.disappear_delay < float("inf"):  # NaN included
+            raise InvalidArgument(f"disappear_delay must be a finite number >= 0, got {self.disappear_delay!r}")
 
 
 @dataclass(frozen=True)

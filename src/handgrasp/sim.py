@@ -6,12 +6,12 @@ grabs and releases, pinch edges, and trial outcomes. The same
 SessionEngine backs the in-process replay API, the CLI, and the TCP
 service, so all three produce byte-identical logs for the same input.
 
-Every frame computes its palm transform once, before any state changes,
-so a degenerate skeleton is rejected without side effects. A session
-drives one hand: its first accepted frame binds it to that side, and a
-frame of the other side is refused. A file replay (`SessionEngine.replay`,
-behind `run_replay` and the CLI) reads frames REPLAY_BLOCK at a time and,
-under the template techniques, canonicalizes each block in one call; the
+Every frame is canonicalized once, under every technique, before any
+state changes, so a degenerate skeleton is rejected without side effects.
+A session drives one hand: its first accepted frame binds it to that side,
+and a frame of the other side is refused. A file replay
+(`SessionEngine.replay`, behind `run_replay` and the CLI) reads frames
+REPLAY_BLOCK at a time and canonicalizes each block in one call; the
 server and single `feed` calls canonicalize frame by frame, with the same
 bits. Hover then measures each present object once, where `object_poses`
 puts it now, and the direct techniques grab from those distances. One
@@ -32,7 +32,6 @@ seeded random point in the reach volume after every trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,7 +53,6 @@ from .hand import (
     canonicalize_block,
     check_side,
     check_time_order,
-    palm_frame,
     vector_length,
 )
 from .pinch import PinchState
@@ -197,6 +195,8 @@ class SessionEngine:
 
         self._protocol = scene.protocol
         if self._protocol is not None:
+            if scene.target is None or not scene.objects:
+                raise InvalidArgument("a protocol needs a target and at least one object")
             # trial k places objects[k % n] on the k-th target, drawn as it begins
             self.trial_count = self._protocol.repeats * len(scene.objects)
             self._targets = target_centers(self._protocol, scene.target.center)
@@ -250,24 +250,20 @@ class SessionEngine:
         """Advance one frame; returns the event lines it produced.
 
         `hand` is `canonicalize(frame)` when the caller already has it (a
-        file replay canonicalizes blocks of frames); the template techniques
-        compute it here otherwise, and the direct ones never read it.
+        file replay canonicalizes blocks of frames); it is computed here
+        otherwise. Its palm carries a held object under every technique.
 
         Raises TimeOrderError for a frame stamped earlier than the one fed
         before it (equal stamps are fine), SideError for a frame of the other
         hand than the first accepted frame's, and DegenerateHand for a
-        skeleton without a palm basis, all before any state changes.
+        skeleton without a palm basis or a size, all before any state changes.
         """
         if self.finished:
             raise ProtocolViolation("frame arrived after the run finished", frame.line_no)
         check_time_order(frame, self._last_time)
         check_side(frame, self._side)
-        if self._template_intent is not None:
-            if hand is None:
-                hand = canonicalize(frame)
-            palm = hand.palm
-        else:
-            palm = palm_frame(frame)
+        if hand is None:
+            hand = canonicalize(frame)
         self._last_time = frame.timestamp
         self._side = frame.side
         if (
@@ -291,7 +287,7 @@ class SessionEngine:
             intent = self._pinch_intent(frame, distances, lines)
         else:
             intent = self._grip_intent(frame, distances)
-        event = self._tracker.step(frame.timestamp, palm, self.object_poses, intent)
+        event = self._tracker.step(frame.timestamp, hand.palm, self.object_poses, intent)
         if event is None:
             return lines
         if event.kind == "grab":
@@ -334,8 +330,8 @@ class SessionEngine:
     def replay(self, frames: Iterable[HandFrame]) -> Iterator[list[str]]:
         """Feed a file's frames until the run finishes; yields each frame's event lines.
 
-        Frames are read REPLAY_BLOCK at a time, and the template techniques
-        canonicalize each block in one call. Errors come out as from a loop
+        Frames are read REPLAY_BLOCK at a time, and each block is
+        canonicalized in one call. Errors come out as from a loop
         that reads and feeds one frame at a time: a line that cannot be read
         is raised after the frames before it are fed, and frames past the
         finishing one are ignored, but the first of them is still read.
@@ -351,7 +347,7 @@ class SessionEngine:
                         break
             except FrameError as exc:
                 error = exc
-            hands = canonicalize_block(block) if block and self._template_intent is not None else repeat(None)
+            hands = canonicalize_block(block) if block else []
             for frame, hand in zip(block, hands):
                 if self.finished:
                     return

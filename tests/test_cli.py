@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from handgrasp.cli import main
+from handgrasp.hand import JointId
 from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
 from handgrasp.sim import REPLAY_BLOCK, TECHNIQUES, SessionEngine, run_replay
@@ -137,6 +138,27 @@ def test_synth_negative_seed_is_a_usage_error_whatever_the_noise(tmp_path, sigma
     assert "argument --seed: expected an integer >= 0, got '-3'" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("port", ["65536", "99999", "-1"])
+def test_serve_port_out_of_range_is_a_usage_error_before_any_socket(capsys, port):
+    assert main(["serve", f"--port={port}", "--scene", str(SCENE)]) == 1
+    assert f"argument --port: expected an integer from 0 to 65535, got '{port}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recognize", "simulate"])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_frame_without_a_hand_size_is_a_data_error_naming_its_line_under_every_technique(
+    tmp_path, capsys, command, technique
+):
+    nail = load_scene(SCENE)[0].object_by_id("nail").position
+    frames = synth_stream("open", duration=1.0, at=nail)
+    frames[49].joints[JointId.MIDDLE_PROXIMAL] = frames[49].joints[JointId.WRIST]  # the palm intact
+    stream = tmp_path / "sizeless.frames"
+    write_frames(stream, frames)
+    args = [command, "--in", str(stream), "--scene", str(SCENE), "--technique", technique]
+    assert main(args + (["--out", str(tmp_path / "x.csv")] if command == "simulate" else [])) == 2
+    assert capsys.readouterr().err == "data error: wrist and middle proximal coincide (line 50, field joints)\n"
 
 
 # ── latin-square ─────────────────────────────────────────────────────────

@@ -37,7 +37,6 @@ from handgrasp.hand import (
     JointId,
     RigidTransform,
     canonicalize,
-    palm_frame,
 )
 from handgrasp.scene import SceneObject
 from handgrasp.streams import ScriptBuilder, keypose, pose_frame
@@ -583,7 +582,7 @@ def test_grab_rigid_attachment_zero_drift():
     for frame in builder.frames():
         _step(intent, tracker, frame, hovered, poses)
         if tracker.grabbed:
-            offsets.append(palm_frame(frame).inverse().apply(poses["cube"].translation))
+            offsets.append(canonicalize(frame).palm.inverse().apply(poses["cube"].translation))
     offsets = np.array(offsets)
     assert len(offsets) > 50
     assert np.abs(offsets - offsets[0]).max() < 1e-9

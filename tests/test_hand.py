@@ -17,8 +17,6 @@ from handgrasp.hand import (
     canonicalize,
     canonicalize_block,
     check_side,
-    hand_scale,
-    palm_frame,
     vector_length,
 )
 
@@ -42,7 +40,7 @@ def _frame(joints: np.ndarray, side: str = "right") -> HandFrame:
 
 
 def test_palm_frame_axis_aligned_is_identity():
-    transform = palm_frame(_frame(_axis_aligned_joints()))
+    transform = canonicalize(_frame(_axis_aligned_joints())).palm
     assert np.allclose(transform.rotation, np.eye(3), atol=1e-12)
     assert np.allclose(transform.translation, 0.0)
 
@@ -59,7 +57,7 @@ def test_palm_frame_covariant_under_rigid_motion():
     )
     shift = np.array([1.0, 2.0, 3.0])
     moved = joints @ rot.T + shift
-    transform = palm_frame(_frame(moved))
+    transform = canonicalize(_frame(moved)).palm
     assert np.allclose(transform.rotation, rot, atol=1e-12)
     assert np.allclose(transform.translation, shift, atol=1e-12)
 
@@ -72,33 +70,33 @@ def test_palm_frame_rejects_collinear_anchors():
     joints[JointId.PINKY_METACARPAL] = (0.0, 0.0, 0.04)
     joints[JointId.MIDDLE_PROXIMAL] = (0.0, 0.0, 0.09)
     with pytest.raises(DegenerateHand):
-        palm_frame(_frame(joints))
+        canonicalize(_frame(joints))
 
 
 def test_palm_frame_rejects_coincident_anchors():
     joints = np.zeros((JOINT_COUNT, 3))
     joints[JointId.MIDDLE_PROXIMAL] = (0.0, 0.0, 0.09)
     with pytest.raises(DegenerateHand):
-        palm_frame(_frame(joints))
+        canonicalize(_frame(joints))
 
 
 def test_hand_scale_reference_length_is_one():
     joints = _axis_aligned_joints()
     assert np.linalg.norm(joints[JointId.MIDDLE_PROXIMAL]) == REFERENCE_LENGTH
-    assert hand_scale(_frame(joints)) == 1.0
+    assert canonicalize(_frame(joints)).scale == 1.0
 
 
 def test_hand_scale_linear_ratio():
     joints = _axis_aligned_joints()
     joints[JointId.MIDDLE_PROXIMAL] = (0.0, 0.0, 0.108)
-    assert hand_scale(_frame(joints)) == 1.2
+    assert canonicalize(_frame(joints)).scale == 1.2
 
 
 def test_hand_scale_rejects_coincident_joints():
     joints = _axis_aligned_joints()
     joints[JointId.MIDDLE_PROXIMAL] = (0.0, 0.0, 0.0)
     with pytest.raises(DegenerateHand):
-        hand_scale(_frame(joints))
+        canonicalize(_frame(joints))
 
 
 def test_canonicalize_axis_aligned_divides_by_scale():
@@ -149,7 +147,7 @@ def test_palm_frame_idempotent_on_canonical_pose():
     rng = np.random.default_rng(23)
     joints = random_pose_joints(rng)
     canonical = canonicalize(_frame(joints))
-    again = palm_frame(_frame(canonical.joints_local))
+    again = canonicalize(_frame(canonical.joints_local)).palm
     assert np.abs(again.rotation - np.eye(3)).max() < 1e-9
     assert np.abs(again.translation).max() < 1e-9
 
@@ -220,7 +218,7 @@ def _reference_basis(joints: np.ndarray) -> np.ndarray:
 
 def _reference_canonical(frame: HandFrame) -> tuple[np.ndarray, float]:
     basis = _reference_basis(frame.joints)
-    scale = hand_scale(frame)
+    scale = vector_length(frame.joints[JointId.MIDDLE_PROXIMAL] - frame.joints[JointId.WRIST]) / REFERENCE_LENGTH
     local = ((frame.joints - frame.joints[JointId.WRIST]) @ basis) / scale
     if frame.side == "left":
         local = local.copy()
@@ -250,17 +248,13 @@ def test_palm_basis_and_canonical_joints_are_bit_equal_to_the_reference(seed, si
     joints = (joints * size) @ random_rotation(rng).T + np.array(shift)
     frame = HandFrame(0.0, side, joints)
 
-    palm = palm_frame(frame)
-    assert np.array_equal(palm.rotation, _reference_basis(joints))
-    assert np.array_equal(palm.translation, joints[JointId.WRIST])
-
     canonical = canonicalize(frame)
+    # the palm canonicalize returns is unmirrored, on both sides
+    assert np.array_equal(canonical.palm.rotation, _reference_basis(joints))
+    assert np.array_equal(canonical.palm.translation, joints[JointId.WRIST])
     local, scale = _reference_canonical(frame)
     assert np.array_equal(canonical.joints_local, local)
     assert canonical.scale == scale
-    # the palm canonicalize returns is the unmirrored palm_frame, on both sides
-    assert np.array_equal(canonical.palm.rotation, palm.rotation)
-    assert np.array_equal(canonical.palm.translation, palm.translation)
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,7 +282,7 @@ def test_degenerate_anchors_raise_exactly_where_the_reference_does(seed, kind, g
         )
 
     expected = _outcome(_reference_basis, joints)
-    actual = _outcome(lambda j: palm_frame(HandFrame(0.0, "right", j)).rotation, joints)
+    actual = _outcome(lambda j: canonicalize(HandFrame(0.0, "right", j)).palm.rotation, joints)
     if isinstance(expected, str):
         assert actual == expected
     else:

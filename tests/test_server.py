@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from handgrasp import server as server_mod
 from handgrasp.errors import FrameError
-from handgrasp.hand import HandFrame
+from handgrasp.hand import HandFrame, JointId
 from handgrasp.scene import ProtocolSpec, Scene, SceneObject, TargetSphere, load_scene, save_scene
 from handgrasp.scripts import script_protocol_run
 from handgrasp.server import LINE_LIMIT, GraspServer
@@ -190,12 +190,15 @@ def test_unparseable_line_continues_session(service):
     assert replies[-1].startswith("summary ")
 
 
-def test_degenerate_hand_continues_session(service):
+@pytest.mark.parametrize("technique", ["custom", "pinch"])
+def test_degenerate_hand_continues_session(service, technique):
     address, _ = service
-    flat = format_frame_line(HandFrame(0.0, "right", np.zeros((25, 3))))
-    replies = _talk(address, "session demo custom", [flat])
-    assert replies[0] == "err degenerate 2"
-    assert replies[-1].startswith("summary ")
+    flat = HandFrame(0.0, "right", np.zeros((25, 3)))
+    sizeless = pose_frame("open")  # palm intact, middle proximal on the wrist
+    sizeless.joints[JointId.MIDDLE_PROXIMAL] = sizeless.joints[JointId.WRIST]
+    replies = _talk(address, f"session demo {technique}", [format_frame_line(flat), format_frame_line(sizeless)])
+    assert replies[:2] == ["err degenerate 2", "err degenerate 3"]
+    assert len(replies) == 3 and replies[-1].startswith("summary ")
 
 
 def test_non_finite_joint_is_a_parse_error_and_the_session_continues(service):

@@ -210,12 +210,17 @@ def test_degenerate_frame_is_rejected_before_any_state_changes(demo, technique):
         # before the hover edge, before the grab edge, right after it, in
         # transit, before the release
         if i in (1, grab, grab + 1, (grab + release) // 2, release):
-            # all joints at one point: no palm; the stamp runs past the next
-            # frame's, and the grip bit and the pinch gap flip, so any state
-            # the rejected frame left behind shows in what follows
+            # all joints at one point: no palm; the palm intact with the middle
+            # proximal on the wrist: no size. The stamp runs past the next
+            # frame's, and the grip bit flips (and with one point the pinch
+            # gap), so any state the rejected frame left behind shows in what
+            # follows
             grip = None if frames[i - 1].grip is None else not frames[i - 1].grip
-            for at in (engine.object_poses[active].translation, np.array([5.0, 5.0, 5.0])):
-                bad = hand.HandFrame(frame.timestamp + 0.5 / 90.0, "right", np.tile(at, (25, 1)), grip)
+            sizeless = frame.joints.copy()
+            sizeless[hand.JointId.MIDDLE_PROXIMAL] = sizeless[hand.JointId.WRIST]
+            points = (np.tile(at, (25, 1)) for at in (engine.object_poses[active].translation, (5.0, 5.0, 5.0)))
+            for joints in (*points, sizeless):
+                bad = hand.HandFrame(frame.timestamp + 0.5 / 90.0, "right", joints, grip)
                 with pytest.raises(DegenerateHand):
                     engine.feed(bad)
         lines.extend(engine.feed(frame))
@@ -236,6 +241,24 @@ def test_equal_timestamps_are_accepted():
 def test_unknown_technique_rejected():
     with pytest.raises(InvalidArgument):
         SessionEngine(_mini_scene(), TemplateStore(), "wand")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: replace(_mini_scene(), protocol=ProtocolSpec(reach_min=(0.5, 0.0, 0.0), reach_max=(0.0, 1.0, 1.0))),
+        lambda: replace(_mini_scene(), protocol=ProtocolSpec(repeats=0)),
+        lambda: replace(_mini_scene(), protocol=ProtocolSpec(seed=-1)),
+        lambda: replace(_mini_scene(), protocol=ProtocolSpec(disappear_delay=float("nan"))),
+        lambda: replace(_mini_scene(), target=None),
+        lambda: replace(_mini_scene(), objects=()),
+    ],
+    ids=["inverted-reach", "no-repeats", "negative-seed", "nan-delay", "no-target", "no-objects"],
+)
+def test_protocol_that_cannot_run_is_refused_before_the_session_starts(build):
+    # each of these loads from no file, and each used to fail mid-run or never finish
+    with pytest.raises(InvalidArgument):
+        SessionEngine(build(), TemplateStore(), "controller")
 
 
 # ── replay harness ───────────────────────────────────────────────────────
@@ -310,7 +333,7 @@ def _spoiled_read(frames: list, line_no: int, fault: str):
         yield frame
 
 
-@pytest.mark.parametrize("technique", ["custom", "controller"])
+@pytest.mark.parametrize("technique", ["custom", "controller", "pinch"])
 def test_replay_reads_ahead_in_blocks_as_a_frame_by_frame_loop_reads(demo, technique):
     scene, store = demo
     scene = replace(scene, objects=scene.objects[:2], protocol=replace(scene.protocol, repeats=1))

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from handgrasp.engine import GestureTemplate, pose_distance
 from handgrasp.errors import CountError, ParseError
-from handgrasp.hand import HandFrame, JointId, canonicalize, palm_frame
+from handgrasp.hand import HandFrame, JointId, canonicalize
 from handgrasp.pinch import PinchState
 from handgrasp.streams import (
     FIST_TIP_REACH,
@@ -496,7 +496,7 @@ def test_keyposes_have_unit_scale_and_identity_palm():
         frame = pose_frame(kind)
         canonical = canonicalize(frame)
         assert canonical.scale == 1.0
-        assert np.allclose(palm_frame(frame).rotation, np.eye(3), atol=1e-12)
+        assert np.allclose(canonical.palm.rotation, np.eye(3), atol=1e-12)
 
 
 def test_pinch_keypose_thumb_index_gap():
