@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from handgrasp.cli import main
-from handgrasp.hand import JointId
+from handgrasp.engine import GestureTemplate, pose_distance
+from handgrasp.hand import JointId, canonicalize
 from handgrasp.scene import load_scene
 from handgrasp.scripts import script_protocol_run
 from handgrasp.sim import REPLAY_BLOCK, TECHNIQUES, SessionEngine, run_replay
@@ -29,8 +30,10 @@ from handgrasp.streams import (
     format_frame_line,
     load_template,
     parse_frame_line,
+    pose_frame,
     read_frames,
     read_results,
+    save_template,
     synth_stream,
     write_frames,
 )
@@ -324,11 +327,38 @@ FREEPLAY_VISITS = (
 )
 
 
-def _write_freeplay_scene(path: Path) -> Path:
+# Each object's grab template, by key pose and per-joint x offset: a and b
+# own the same fist, c and d the same relaxed hand, so a hand shaped so
+# near both scores an exact tie. Every object's release template is the
+# open hand.
+FREEPLAY_TEMPLATES = {
+    "a": ("fist", 0.0),
+    "b": ("fist", 0.0),
+    "c": ("relaxed", 0.0),
+    "d": ("relaxed", 0.0),
+    "e": ("partial_open", 0.0),
+    "f": ("partial_open", 0.0004),
+}
+# the pose the hand takes to grab at each visit under a template technique
+FREEPLAY_SHAPES = ("fist", "partial_open", "relaxed", "fist")
+
+
+def _write_freeplay_scene(path: Path, templates: bool = False) -> Path:
+    """The free-play scene; with `templates`, each object owns the grab and
+    release templates FREEPLAY_TEMPLATES gives it, written beside the scene."""
+    listed = {object_id: [] for object_id, _, _ in FREEPLAY_OBJECTS}
+    if templates:
+        for object_id, (kind, offset) in FREEPLAY_TEMPLATES.items():
+            for name, role, joints in (
+                (f"{object_id}-{kind}", "grab", _canonical_pose(kind) + [offset, 0.0, 0.0]),
+                (f"{object_id}-open", "release", _canonical_pose("open")),
+            ):
+                save_template(path.parent / f"{name}.gesture", GestureTemplate(name, object_id, role, joints))
+                listed[object_id].append(f"{name}.gesture")
     document = {
         "scene_id": "freeplay",
         "objects": [
-            {"id": object_id, "position": list(position), "bounding_radius": radius, "templates": []}
+            {"id": object_id, "position": list(position), "bounding_radius": radius, "templates": listed[object_id]}
             for object_id, position, radius in FREEPLAY_OBJECTS
         ],
     }
@@ -336,16 +366,22 @@ def _write_freeplay_scene(path: Path) -> Path:
     return path
 
 
+def _canonical_pose(kind: str) -> np.ndarray:
+    return canonicalize(pose_frame(kind)).joints_local
+
+
 def _freeplay_frames(technique: str):
-    """Grab, carry and let go at every visit, by grip bit or by pinch."""
+    """Grab, carry and let go at every visit, by grip bit, by pinch or by
+    shaping the hand into FREEPLAY_SHAPES and opening it again."""
     b = ScriptBuilder(start=(0.0, 0.0, 0.0))
     controller = technique == "controller"
     grip_off, grip_on = (False, True) if controller else (None, None)
-    for grab_at, release_at in FREEPLAY_VISITS:
+    shapes = ("pinch",) * len(FREEPLAY_VISITS) if technique == "pinch" else FREEPLAY_SHAPES
+    for (grab_at, release_at), shape in zip(FREEPLAY_VISITS, shapes):
         b.move(grab_at, 0.5, kind="open", grip=grip_off)
         b.hold(0.12, grip=grip_off)
         if not controller:
-            b.morph("pinch", 0.15)
+            b.morph(shape, 0.15)
         b.hold(0.3, grip=grip_on)
         b.move(release_at, 0.5, grip=grip_on)
         if not controller:
@@ -376,6 +412,36 @@ def test_recognize_matches_golden_freeplay_events(tmp_path, technique):
             )
     assert len(hovered_at_grabs) == 3
     assert max(hovered_at_grabs) >= 2
+
+
+@pytest.mark.parametrize("technique", ["custom", "grab"])
+def test_recognize_matches_golden_freeplay_template_events(tmp_path, technique):
+    scene_path = _write_freeplay_scene(tmp_path / "scene.json", templates=True)
+    frames = _freeplay_frames(technique)
+    stream = tmp_path / f"{technique}.frames"
+    write_frames(stream, frames)
+    result = _run("recognize", "--in", str(stream), "--scene", str(scene_path),
+                  "--technique", technique)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode() == (GOLDEN / f"events_freeplay_{technique}.log").read_bytes()
+
+    # the log pins two choices: some grab frame hovers two or more owners,
+    # and some grab settles an exact score tie by the smaller name
+    scene, store = load_scene(scene_path)
+    engine = SessionEngine(scene, store, technique)
+    owners_at_grabs, ties_settled = [], 0
+    for frame in frames:
+        grabs = [line.split() for line in engine.feed(frame) if line.startswith("grab ")]
+        if grabs:
+            current = canonicalize(frame)
+            owned = [f"{object_id}-{FREEPLAY_TEMPLATES[object_id][0]}" for object_id in engine.hovered]
+            scores = {name: pose_distance(current, store.get(name)) for name in owned}
+            tied = sorted(name for name, score in scores.items() if score == min(scores.values()))
+            assert grabs[0][2] == tied[0]
+            owners_at_grabs.append(len(owned))
+            ties_settled += len(tied) >= 2
+    assert max(owners_at_grabs) >= 2
+    assert ties_settled >= 1
 
 
 def _numpy_uses_openblas() -> bool:
