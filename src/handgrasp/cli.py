@@ -16,7 +16,7 @@ import socket
 import sys
 
 from .engine import CaptureSession
-from .errors import DegenerateInput, FrameError, IncompleteRun, InvalidArgument, ProtocolViolation
+from .errors import DegenerateInput, FrameError, IncompleteRun, InvalidArgument, ParseError, ProtocolViolation
 from .scene import load_scene
 from .server import GraspServer
 from .sim import SessionEngine, latin_square_order, run_replay, summarize, TECHNIQUES
@@ -85,6 +85,14 @@ def _int_arg(least: int, most: float = math.inf):
     return integer
 
 
+def _template_name_arg(text: str) -> str:
+    """An argparse type: a template name that the template loader reads back."""
+    try:
+        return Fields({"name": text}, "template").string("name")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="handgrasp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene config JSON")
     p.add_argument("--object", required=True, help="target object id")
     p.add_argument("--out", required=True, help="output .gesture file")
-    p.add_argument("--name", default=None, help="template name (default <object>-<role>)")
+    p.add_argument("--name", type=_template_name_arg, help="template name without whitespace (default <object>-<role>)")
     p.add_argument("--role", default="grab", choices=("grab", "release"))
     p.set_defaults(func=_cmd_capture)
 

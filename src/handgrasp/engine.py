@@ -7,7 +7,10 @@ kernel computes that sum, for one template (`pose_distance`,
 `match_score`) or a stack of them (`recognize`), with the same bits.
 Matching is hover-gated: only templates owned by currently hovered
 objects are ever evaluated, and a template's `object_id` names its one
-owner. `hover_update` measures each object once per frame, where a pose
+owner. `TemplateStore` keeps each owner's templates of each role as one
+stack, built as the scene loads; `recognize` scores the hovered owners'
+stacks and writes nothing, so one store serves any number of sessions.
+`hover_update` measures each object once per frame, where a pose
 map puts it, and returns the distances, from which direct grabs pick the
 nearest hovered object, and the hovered ids. Authoring a template is a
 hold gesture: keep the hand still near the target object for a fixed
@@ -20,7 +23,7 @@ intent. `TemplateIntent` decides that intent for the template techniques.
 
 from __future__ import annotations
 
-import threading
+import bisect
 from collections import deque
 from dataclasses import dataclass
 
@@ -47,7 +50,6 @@ HOLD_REQUIRED = 3.0  # seconds of stillness to author a template
 TRACKING_TIMEOUT = 0.5  # seconds without a frame aborts a capture
 RELEASE_FACTOR = 1.5  # deviation release fires above factor * budget
 RELEASE_DWELL = 0.1  # seconds the deviation must persist
-STACK_CACHE_LIMIT = 256  # stacked arrays a TemplateStore keeps; the oldest goes first
 
 ROLE_GRAB = "grab"
 ROLE_RELEASE = "release"
@@ -100,54 +102,37 @@ def match_score(current: CanonicalHand, template: GestureTemplate) -> float | No
 
 
 class TemplateStore:
-    """Holds templates by name and serves stacked arrays for matching.
+    """Holds templates by name, and each object's templates of each role as one stack.
 
-    A template belongs to the object its `object_id` names. Safe for shared
-    concurrent reads once populated; do not add templates while other
-    threads are matching against the store. The stacks are cached per
-    hovered set and role, at most STACK_CACHE_LIMIT of them, since a hand
-    can hover any subset of a scene's objects.
+    A template belongs to the object its `object_id` names. `add` files it
+    into that owner's stack for its role: (names sorted, joints (n, 25, 3),
+    budgets), so adding costs what that owner already holds. Populate
+    the store before sharing it; from then on nothing writes it, and any
+    number of threads may match against it.
     """
 
     def __init__(self):
         self._templates: dict[str, GestureTemplate] = {}
-        self._stacks: dict[tuple[frozenset[str], str], tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
-        self._stacks_lock = threading.Lock()  # sessions of one scene share its store
+        self._stacks: dict[tuple[str, str], tuple[tuple[str, ...], np.ndarray, tuple[float, ...]]] = {}
 
     def add(self, template: GestureTemplate) -> None:
         if template.name in self._templates:
             raise InvalidArgument(f"duplicate template name {template.name!r}")
         self._templates[template.name] = template
-        self._stacks.clear()
+        key = (template.object_id, template.role)
+        names, joints, budgets = self._stacks.get(key, ((), np.empty((0, JOINT_COUNT, 3)), ()))
+        at = bisect.bisect(names, template.name)
+        self._stacks[key] = (
+            names[:at] + (template.name,) + names[at:],
+            np.concatenate((joints[:at], template.joints_local[None], joints[at:])),
+            budgets[:at] + (template.threshold_sum,) + budgets[at:],
+        )
 
     def get(self, name: str) -> GestureTemplate:
         return self._templates[name]
 
     def __len__(self) -> int:
         return len(self._templates)
-
-    def stack(self, object_ids: frozenset[str], role: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """(sorted names, joints (n,25,3), budgets (n,)) of the `role` templates
-        that the objects `object_ids` own, cached per (object_ids, role), the
-        STACK_CACHE_LIMIT latest keys."""
-        key = (object_ids, role)
-        cached = self._stacks.get(key)
-        if cached is None:
-            owned = [
-                template
-                for _, template in sorted(self._templates.items())
-                if template.object_id in object_ids and template.role == role
-            ]
-            cached = (
-                tuple(template.name for template in owned),
-                np.array([template.joints_local for template in owned]).reshape(-1, JOINT_COUNT, 3),
-                np.array([template.threshold_sum for template in owned]),
-            )
-            with self._stacks_lock:
-                self._stacks[key] = cached
-                if len(self._stacks) > STACK_CACHE_LIMIT:
-                    del self._stacks[next(iter(self._stacks))]
-        return cached
 
 
 @dataclass(frozen=True)
@@ -201,21 +186,26 @@ def recognize(
 ) -> Match | None:
     """Best matching `role` template of a hovered object, or None.
 
-    Only the templates that the `hovered` objects own are evaluated. The
-    lowest distance wins; exact ties go to the lexicographically smallest
-    name.
+    Only the stacks of the `hovered` owners are scored: one as it is
+    stored, several concatenated. The lowest distance wins; exact ties go
+    to the lexicographically smallest name, whatever order the owners
+    were concatenated in.
     """
-    names, joints, budgets = store.stack(hovered, role)
-    if not names:
+    stacks = [store._stacks[key] for owner in hovered if (key := (owner, role)) in store._stacks]
+    if not stacks:
         return None
-    sums = _distance_sums(current.joints_local, joints)
-    matched = sums <= budgets  # any single joint past the budget implies sum > budget
-    if not matched.any():
+    if len(stacks) == 1:
+        names, joints, budgets = stacks[0]
+    else:
+        names = sum((stack[0] for stack in stacks), ())
+        joints = np.concatenate([stack[1] for stack in stacks])
+        budgets = sum((stack[2] for stack in stacks), ())
+    sums = _distance_sums(current.joints_local, joints).tolist()
+    matched = [(score, name) for score, budget, name in zip(sums, budgets, names) if score <= budget]
+    if not matched:
         return None
-    candidates = np.flatnonzero(matched)
-    best = candidates[np.argmin(sums[candidates])]
-    name = names[best]
-    return Match(name, store.get(name).object_id, float(sums[best]))
+    score, name = min(matched)
+    return Match(name, store.get(name).object_id, score)
 
 
 class StillnessWindow:

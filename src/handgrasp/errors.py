@@ -26,6 +26,11 @@ class ParseError(FrameError):
     code = "parse"
 
 
+class LineTooLong(ParseError):
+    """A line longer than `streams.LINE_LIMIT` bytes, newline excluded."""
+    code = "toolong"
+
+
 class CountError(ParseError):
     """A joint array had the wrong number of entries."""
     code = "joints"

@@ -38,14 +38,11 @@ import io
 import socketserver
 import threading
 
-from .errors import FrameError, InvalidArgument
+from .errors import FrameError, InvalidArgument, LineTooLong
 from .scene import Scene
 from .engine import TemplateStore
 from .sim import SessionEngine
-from .streams import parse_frame_line
-
-
-LINE_LIMIT = 64 * 1024  # bytes in one line, newline excluded; a longer line draws `err toolong`
+from .streams import LINE_LIMIT, parse_frame_line
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -86,7 +83,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         line_no = self.line_no
         engine = self.engine
         if raw is None or len(raw) > LINE_LIMIT:
-            replies.append(f"err toolong {line_no}")
+            replies.append(f"err {LineTooLong.code} {line_no}")
             return engine is None
         text = raw.decode("utf-8", errors="replace").strip()
         if engine is None:

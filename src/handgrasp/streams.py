@@ -36,7 +36,7 @@ import numpy as np
 import orjson
 
 from .engine import DISTANCE_BUDGET, ROLE_GRAB, ROLE_RELEASE, GestureTemplate
-from .errors import CountError, ParseError
+from .errors import CountError, LineTooLong, ParseError
 from .hand import JOINT_COUNT, HandFrame, JointId
 
 logger = logging.getLogger(__name__)
@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 TEMPLATE_FORMAT_VERSION = 1
 COORDINATE_LIMIT = 1000.0  # meters: no scene or template coordinate lies farther from 0
 TRACKER_RATE = 90.0  # frames per second of a hand tracker, for generated streams
+LINE_LIMIT = 64 * 1024  # bytes in one stream line, newline excluded; a longer line is LineTooLong
 RESULTS_HEADER = ("technique", "object", "accuracy_m", "tct_s", "dropped", "band")
 
 _FRAME_FIELDS = {"t", "hand", "joints", "grip"}
@@ -103,11 +104,14 @@ def read_results(path: str | Path) -> list[TrialResult]:
             if len(row) != len(RESULTS_HEADER):
                 message = f"expected {len(RESULTS_HEADER)} columns, got {len(row)}"
                 raise ParseError(message, line_no=line_no, field="row")
-            record = {"accuracy_m": _cell(row[2]), "tct_s": _cell(row[3]), "dropped": row[4]}
+            record = dict(zip(RESULTS_HEADER, row))
+            record["accuracy_m"], record["tct_s"] = _cell(row[2]), _cell(row[3])
             cells = Fields(record, str(path), line_no)
             accuracy, tct = (cells.numbers(key, (), "a finite number") for key in ("accuracy_m", "tct_s"))
             dropped = cells.string("dropped", among=("true", "false")) == "true"
-            results.append(TrialResult(row[0], row[1], accuracy, tct, dropped, row[5]))
+            technique, object_id = cells.string("technique"), cells.string("object")
+            band = cells.string("band", among=("green", "yellow", "red"))
+            results.append(TrialResult(technique, object_id, accuracy, tct, dropped, band))
     return results
 
 
@@ -287,11 +291,15 @@ def write_frames(path: str | Path, frames: Iterable[HandFrame]) -> None:
 def read_frames(path: str | Path) -> Iterator[HandFrame]:
     """Yield frames from a `.frames` file; blank lines are skipped.
 
-    Lines are split and decoded as the server splits and decodes them: a
-    byte that is not UTF-8 reads as U+FFFD, so it can fail only its line.
+    Lines are split, bounded and decoded as the server splits, bounds and
+    decodes them: a line longer than LINE_LIMIT bytes is LineTooLong, read
+    no further than one byte past the limit, and a byte that is not UTF-8
+    reads as U+FFFD, so it can fail only its line.
     """
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(iter(lambda: fh.readline(LINE_LIMIT + 1), b""), start=1):
+            if len(line.removesuffix(b"\n")) > LINE_LIMIT:
+                raise LineTooLong(f"line longer than {LINE_LIMIT} bytes", line_no=line_no, field="line")
             text = line.decode("utf-8", errors="replace").strip()
             if not text:
                 continue

@@ -222,6 +222,21 @@ def test_capture_writes_a_loadable_template(tmp_path):
     assert template.role == "grab"
 
 
+@pytest.mark.parametrize("name", ["my grab", ""])
+def test_capture_name_the_loader_would_refuse_is_a_usage_error_before_reading(tmp_path, capsys, name):
+    scene, _ = load_scene(SCENE)
+    stream, out = tmp_path / "steady.frames", tmp_path / "x.gesture"
+    write_frames(stream, synth_stream("fist", duration=3.5, at=scene.object_by_id("cube").position))
+    code = main(["capture", "--in", str(stream), "--scene", str(SCENE), "--object", "cube",
+                 "--out", str(out), "--name", name])
+    assert code == 1
+    assert (
+        f"argument --name: template: 'name' must be a non-empty string without whitespace, got {name!r}"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_capture_unknown_object(tmp_path):
     stream = tmp_path / "steady.frames"
     write_frames(stream, synth_stream("fist", duration=1.0))
@@ -633,18 +648,23 @@ def test_recognize_refuses_a_hand_of_the_other_side_naming_its_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, bad_line",
+    "command, bad_line, field",
     [
-        ("recognize", b"[" * 5_000 + b"]" * 5_000),
-        # deep enough to overflow the C stack of a decoder without a depth limit
-        ("simulate", b"[" * 300_000 + b"]" * 300_000),
-        ("recognize", b"\xffFRAME"),
-        ("simulate", b"\xffFRAME"),
+        ("recognize", b"[" * 5_000 + b"]" * 5_000, "json"),
+        ("simulate", b"[" * 30_000 + b"]" * 30_000, "json"),
+        # deep enough to overflow the C stack of a decoder without a depth
+        # limit, and so past LINE_LIMIT: refused before any decoder reads it
+        ("simulate", b"[" * 300_000 + b"]" * 300_000, "line"),
+        ("recognize", b"\xffFRAME", "json"),
+        ("simulate", b"\xffFRAME", "json"),
     ],
-    ids=["recognize-nested", "simulate-nested-past-the-stack", "recognize-not-utf8", "simulate-not-utf8"],
+    ids=[
+        "recognize-nested", "simulate-nested-within-the-line-limit", "simulate-nested-past-the-stack",
+        "recognize-not-utf8", "simulate-not-utf8",
+    ],
 )
 def test_line_json_cannot_read_is_a_data_error_after_the_earlier_events(
-    tmp_path, custom_stream, command, bad_line
+    tmp_path, custom_stream, command, bad_line, field
 ):
     lines = custom_stream.read_bytes().splitlines(keepends=True)
     bad_line = bad_line.replace(b"FRAME", lines[39].rstrip(b"\n"))  # the frame it spoils
@@ -656,7 +676,7 @@ def test_line_json_cannot_read_is_a_data_error_after_the_earlier_events(
     result = _run(*args)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert "(line 40, field json)" in result.stderr
+    assert f"(line 40, field {field})" in result.stderr
     if command == "recognize":
         engine = SessionEngine(*load_scene(SCENE), "custom")
         earlier = [event for line in lines[:39] for event in engine.feed(parse_frame_line(line.decode()))]
@@ -1131,19 +1151,30 @@ def test_stats_needs_no_scipy():
     assert result.stdout == _GOLDEN_STATS_STDOUT
 
 
-def test_stats_number_it_cannot_use_is_a_data_error_naming_line_and_field(tmp_path):
+_NAMELESS = "a non-empty string without whitespace"
+
+
+@pytest.mark.parametrize(
+    "field, value, spelt",
+    [
+        ("accuracy_m", "nan", "a finite number"),
+        ("technique", "", _NAMELESS),
+        ("technique", "my tech", _NAMELESS),
+        ("object", "", _NAMELESS),
+        ("band", "purple", "'green' or 'yellow' or 'red'"),
+    ],
+)
+def test_stats_cell_it_cannot_use_is_a_data_error_naming_line_and_field(tmp_path, field, value, spelt):
     lines = (GOLDEN / "results_pinch.csv").read_text().splitlines()
     cells = lines[1].split(",")
-    cells[2] = "nan"
+    cells[lines[0].split(",").index(field)] = value
     lines[1] = ",".join(cells)
     path = tmp_path / "results.csv"
     path.write_text("\n".join(lines) + "\n")
     result = _run("stats", "--results", str(path))
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == (
-        f"data error: {path}: 'accuracy_m' must be a finite number, got 'nan' (line 2, field accuracy_m)\n"
-    )
+    assert result.stderr == f"data error: {path}: {field!r} must be {spelt}, got {value!r} (line 2, field {field})\n"
 
 
 def test_stats_missing_file_exits_2(tmp_path):

@@ -14,7 +14,6 @@ from handgrasp.engine import (
     DISTANCE_BUDGET,
     HOVER_RADIUS,
     RELEASE,
-    STACK_CACHE_LIMIT,
     CaptureEvent,
     CaptureSession,
     GestureTemplate,
@@ -144,13 +143,16 @@ def test_recognize_boundary_match_is_inclusive():
     assert match.score == 0.05
 
 
-def test_recognize_tie_breaks_on_lowest_name():
+# recognize walks `hovered` once; a tuple fixes the order that a frozenset
+# leaves to string hashing, so both concatenation orders are tried
+@pytest.mark.parametrize("order", [("obj1", "obj2"), ("obj2", "obj1")])
+def test_recognize_tie_breaks_on_lowest_name(order):
     store = TemplateStore()
     local = canonicalize(pose_frame("fist")).joints_local
     b = GestureTemplate("b-gesture", "obj2", "grab", local.copy())
     a = GestureTemplate("a-gesture", "obj1", "grab", local.copy())
-    hovered = _hovered_with(store, b, a)
-    match = recognize(CanonicalHand(local.copy(), 1.0), hovered, store, "grab")
+    _hovered_with(store, b, a)
+    match = recognize(CanonicalHand(local.copy(), 1.0), order, store, "grab")
     assert match.gesture == "a-gesture"
     assert match.object_id == "obj1"
 
@@ -181,31 +183,33 @@ def test_recognize_role_filter_selects_release_templates():
     assert recognize(hand, frozenset({"obj"}), store, "grab") is None
 
 
-def test_template_store_stacks_the_role_templates_of_the_given_owners():
+def test_template_store_files_each_template_into_its_owners_stack_for_its_role():
     store = TemplateStore()
     local = canonicalize(pose_frame("fist")).joints_local
-    for name, owner, role in [
-        ("b-grab", "b", "grab"), ("a-grab", "a", "grab"), ("a-release", "a", "release"), ("c-grab", "c", "grab")
+    for name, owner, role, budget in [
+        ("b-grab", "b", "grab", 0.04), ("a-grab-2", "a", "grab", 0.03), ("a-release", "a", "release", 0.05),
+        ("a-grab", "a", "grab", 0.02),
     ]:
-        store.add(GestureTemplate(name, owner, role, local))
-    names, joints, budgets = store.stack(frozenset({"a", "b"}), "grab")
-    assert names == ("a-grab", "b-grab")  # sorted, release and unhovered owners left out
-    assert joints.shape == (2, JOINT_COUNT, 3) and np.array_equal(joints[0], local)
-    assert budgets.tolist() == [DISTANCE_BUDGET, DISTANCE_BUDGET]
-    assert store.stack(frozenset({"b", "a"}), "grab")[1] is joints  # cached per key
-    assert store.stack(frozenset({"a"}), "release")[0] == ("a-release",)
-    assert store.stack(frozenset(), "grab")[0] == ()
-    store.add(GestureTemplate("a-grab-2", "a", "grab", local))
-    assert store.stack(frozenset({"a", "b"}), "grab")[0] == ("a-grab", "a-grab-2", "b-grab")
+        store.add(GestureTemplate(name, owner, role, local + budget, budget))
+    assert sorted(store._stacks) == [("a", "grab"), ("a", "release"), ("b", "grab")]
+    names, joints, budgets = store._stacks[("a", "grab")]
+    assert names == ("a-grab", "a-grab-2")  # sorted, whatever the order of adding
+    assert joints.shape == (2, JOINT_COUNT, 3)
+    assert np.array_equal(joints[0], local + 0.02) and np.array_equal(joints[1], local + 0.03)
+    assert budgets == (0.02, 0.03)
+    assert store._stacks[("a", "release")][0] == ("a-release",)
+    assert store._stacks[("b", "grab")][2] == (0.04,)
 
 
 def _nine_owner_store() -> tuple[TemplateStore, CanonicalHand]:
-    """Nine owners (512 hovered sets), each with a grab template 1-9 mm off a
-    fist, and the fist, which every one of them matches."""
+    """Nine owners (512 hovered sets), each with a grab template off a fist,
+    and the fist, which every one of them matches. Owners o0 and o1 sit 9 mm
+    off it, o2 and o3 7 mm, and so on to o8 alone at 1 mm: each pair ties
+    exactly."""
     hand = canonicalize(pose_frame("fist"))
     store = TemplateStore()
     for k in range(9):
-        offset = np.array([0.001 * (9 - k) / 25, 0.0, 0.0])  # summed over the 25 joints
+        offset = np.array([0.001 * (9 - k // 2 * 2) / 25, 0.0, 0.0])  # summed over the 25 joints
         store.add(GestureTemplate(f"t{k}", f"o{k}", "grab", hand.joints_local + offset))
     return store, hand
 
@@ -215,24 +219,22 @@ def _hovered_sets() -> list[frozenset[str]]:
     return [frozenset(c) for n in range(10) for c in itertools.combinations(owners, n)]
 
 
-def test_template_store_keeps_at_most_the_cache_limit_of_stacks_and_matches_as_uncached():
-    store, hand = _nine_owner_store()
-    hovered_sets = _hovered_sets()
-    assert len(hovered_sets) > STACK_CACHE_LIMIT
-    for hovered in hovered_sets + hovered_sets[:100]:
-        uncached, _ = _nine_owner_store()
-        assert recognize(hand, hovered, store, "grab") == recognize(hand, hovered, uncached, "grab")
-        assert len(store._stacks) <= STACK_CACHE_LIMIT
-    assert len(store._stacks) == STACK_CACHE_LIMIT
-    # the best of the hovered owners wins: the last-numbered one sits nearest
-    assert recognize(hand, frozenset({"o2", "o7", "o4"}), store, "grab").gesture == "t7"
+def _store_contents(store: TemplateStore) -> dict:
+    return {
+        key: (names, joints.tobytes(), budgets) for key, (names, joints, budgets) in store._stacks.items()
+    }
 
 
-def test_template_store_shared_by_threads_stays_within_the_cache_limit():
+def test_template_store_shared_by_threads_matches_as_one_thread_and_stays_as_loaded():
     store, hand = _nine_owner_store()
-    reference, _ = _nine_owner_store()
+    loaded = _store_contents(store)
     hovered_sets = _hovered_sets()
-    expected = {hovered: recognize(hand, hovered, reference, "grab") for hovered in hovered_sets}
+    assert len(hovered_sets) == 512
+    expected = {hovered: recognize(hand, hovered, store, "grab") for hovered in hovered_sets}
+    # the best of the hovered owners wins, and of a tied pair the smaller name
+    assert expected[frozenset({"o2", "o7", "o4"})].gesture == "t7"
+    assert expected[frozenset({"o5", "o3", "o4", "o0"})].gesture == "t4"
+    assert expected[frozenset()] is None
     failures: list[Exception] = []
 
     def work(offset: int) -> None:
@@ -256,7 +258,7 @@ def test_template_store_shared_by_threads_stays_within_the_cache_limit():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(store._stacks) <= STACK_CACHE_LIMIT
+    assert _store_contents(store) == loaded
 
 
 def test_template_store_rejects_duplicate_names():
@@ -337,7 +339,7 @@ def test_hover_event_at_nine_centimetres():
     events, _, hovered = hover_update(frame, [obj], _poses(obj), frozenset(), HOVER_RADIUS)
     assert [event.kind for event in events] == ["hover"]
     assert hovered == {"cup"}
-    assert store.stack(hovered, "grab")[0] == ("cup-g",)
+    assert recognize(canonicalize(pose_frame("fist")), hovered, store, "grab").gesture == "cup-g"
 
 
 def test_unhover_event_at_eleven_centimetres():
@@ -346,7 +348,7 @@ def test_unhover_event_at_eleven_centimetres():
     events, _, hovered = hover_update(_hover_frame(0.11, obj), [obj], _poses(obj), hovered, HOVER_RADIUS)
     assert [event.kind for event in events] == ["unhover"]
     assert hovered == frozenset()
-    assert store.stack(hovered, "grab")[0] == ()
+    assert recognize(canonicalize(pose_frame("fist")), hovered, store, "grab") is None
 
 
 def test_hover_is_edge_triggered():

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handgrasp import server as server_mod
+from handgrasp.cli import main
 from handgrasp.errors import FrameError
 from handgrasp.hand import HandFrame, JointId
 from handgrasp.scene import ProtocolSpec, Scene, SceneObject, TargetSphere, load_scene, save_scene
@@ -310,6 +311,33 @@ def test_header_past_the_limit_ends_the_session(service):
     assert _exchange(address, header) == b"err toolong 1\n"  # unterminated, then the client went away
 
 
+@pytest.mark.parametrize("length", [LINE_LIMIT, LINE_LIMIT + 1])
+def test_a_file_and_the_server_bound_a_line_alike(service, tmp_path, capsys, length):
+    address, scenes = service
+    nail = scenes["demo"][0].object_by_id("nail")
+    lines = [format_frame_line(pose_frame("open", timestamp=i / 90.0, at=nail.position)) for i in range(3)]
+    lines[1] = lines[1][:-1] + ',"pad":"' + "x" * (length - len(lines[1]) - 9) + '"}'  # an unknown field
+    assert len(lines[1].encode()) == length
+    stream = tmp_path / "padded.frames"
+    stream.write_text("".join(line + "\n" for line in lines))
+    exit_code = main(["recognize", "--in", str(stream), "--scene", str(SCENE), "--technique", "controller"])
+    stdout, stderr = capsys.readouterr()
+    replies = _exchange(address, f"session demo controller\n{stream.read_text()}end\n".encode())
+    engine = SessionEngine(*scenes["demo"], "controller")
+    first = engine.feed(parse_frame_line(lines[0]))
+    assert first == ["hover nail 0.0"]
+    if length == LINE_LIMIT:
+        expected = [*first, *engine.feed(parse_frame_line(lines[1])), *engine.feed(parse_frame_line(lines[2]))]
+        expected.append(engine.summary().to_line())
+        assert (exit_code, stdout.splitlines()) == (0, expected)
+        assert replies.decode().splitlines() == expected
+    else:
+        assert (exit_code, stdout.splitlines()) == (2, first)
+        assert stderr.endswith(f"data error: line longer than {LINE_LIMIT} bytes (line 2, field line)\n")
+        expected = [*first, "err toolong 3", *engine.feed(parse_frame_line(lines[2])), engine.summary().to_line()]
+        assert replies.decode().splitlines() == expected
+
+
 # ── stopping ─────────────────────────────────────────────────────────────
 
 
@@ -504,5 +532,5 @@ def _subclasses(cls) -> set:
 def test_readme_lists_the_header_codes_and_the_code_of_every_frame_error():
     readme = (DATA.parent / "README.md").read_text()
     listed = re.search(r"`err <code> <line-no>` reply \(([^)]*)\)", readme).group(1)
-    codes = {"header", "scene", "technique", "toolong"} | {cls.code for cls in _subclasses(FrameError)}
+    codes = {"header", "scene", "technique"} | {cls.code for cls in _subclasses(FrameError)}
     assert set(re.findall(r"`(\w+)`", listed)) == codes

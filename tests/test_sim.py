@@ -700,9 +700,10 @@ def test_scene_round_trip(tmp_path, demo_config):
         assert a.object_id == b.object_id
         assert np.array_equal(a.position, b.position)
         assert a.bounding_radius == b.bounding_radius
-        for role in ("grab", "release"):
-            owned = frozenset({a.object_id})
-            assert back_store.stack(owned, role)[0] == store.stack(owned, role)[0]
+    # each object owns the same templates of each role
+    assert {key: stack[0] for key, stack in back_store._stacks.items()} == {
+        key: stack[0] for key, stack in store._stacks.items()
+    }
 
 
 def test_build_demo_scene_reproduces_the_shipped_demo_byte_for_byte(demo_dir):
