@@ -17,11 +17,13 @@ import sys
 
 from .engine import CaptureSession
 from .errors import DegenerateInput, FrameError, IncompleteRun, InvalidArgument, ParseError, ProtocolViolation
+from .hand import JOINT_COUNT
 from .scene import load_scene
 from .server import GraspServer
 from .sim import SessionEngine, latin_square_order, run_replay, summarize, TECHNIQUES
 from .stats import anova_oneway
 from .streams import (
+    COORDINATE_LIMIT,
     POSE_KINDS,
     TRACKER_RATE,
     Fields,
@@ -162,6 +164,9 @@ def _cmd_capture(args) -> int:
     for frame in read_frames(args.stream):
         event = session.step(frame)
         if event.kind == "captured":
+            # the loader's own rule: a pose it would refuse is never written
+            joints_local = {"joints_local": event.template.joints_local.tolist()}
+            Fields(joints_local, f"template {args.out}", frame.line_no).vec3("joints_local", (JOINT_COUNT,))
             save_template(args.out, event.template)
             print(f"captured {name} at {frame.timestamp}")
             return EXIT_OK
@@ -208,6 +213,8 @@ def _cmd_synth(args) -> int:
         side=args.side,
         at=args.at,
     )
+    if not all(abs(frame.joints).max() <= COORDINATE_LIMIT for frame in frames):
+        raise InvalidArgument(f"--at and --sigma put joints farther than {COORDINATE_LIMIT:g} from 0")
     write_frames(args.out, frames)
     print(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK

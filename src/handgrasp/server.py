@@ -13,19 +13,21 @@ order. Malformed lines get one
 reply. A bad header draws `header`, `scene` or `technique` and ends the
 session; a rejected frame draws the `code` of its `FrameError` (`parse`,
 `joints`, `degenerate`, `time`, `hand`, `finished`) and the session
-continues. A line longer than LINE_LIMIT bytes is not kept: the server
-discards it up to its newline, then replies `err toolong <line-no>` once.
-An overlong header ends the session; any other overlong line does not.
-Line numbers count every line in the session including the header. An `end` line yields a
+continues. Lines are read by `streams.read_lines`, as files are: a
+line longer than `streams.LINE_LIMIT` bytes is read to its newline,
+dropped, and answered `err toolong <line-no>`. An overlong header ends
+the session; any other overlong line does not. Line numbers count every
+line in the session including the header. An `end` line yields a
 single summary line and closes the session. A last line without a
 newline is still a line. Sessions are fully isolated: every connection
 gets its own engine, scenes and template stores are shared read-only.
 
-The server reads whatever bytes have arrived (up to one buffer),
-handles every complete line among them and sends all their replies in
-one write before its next blocking read. The socket has TCP_NODELAY
-set, so that write leaves at once instead of waiting for the client to
-acknowledge the previous one.
+Each line's replies go out in one write before the next line is read.
+The socket has TCP_NODELAY set, so that write leaves at once instead of
+waiting for the client to acknowledge the previous one. A read or a
+write that waits SESSION_TIMEOUT seconds, as for a silent client or one
+that stops reading, ends the session, and so does a client that resets
+the connection; either ends it quietly.
 
 `handgrasp serve`, tests and embedders all serve through
 `GraspServer.start` and `stop`, which run the inherited `serve_forever`
@@ -34,7 +36,6 @@ on a background thread.
 
 from __future__ import annotations
 
-import io
 import socketserver
 import threading
 
@@ -42,50 +43,36 @@ from .errors import FrameError, InvalidArgument, LineTooLong
 from .scene import Scene
 from .engine import TemplateStore
 from .sim import SessionEngine
-from .streams import LINE_LIMIT, parse_frame_line
+from .streams import parse_frame_line, read_lines
+
+SESSION_TIMEOUT = 60.0  # seconds one read or write of a session may wait
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
+    timeout = SESSION_TIMEOUT
 
     def handle(self) -> None:
         self.engine: SessionEngine | None = None
-        self.line_no = 0
-        tail = bytearray()  # the start of a line whose newline has not arrived
-        discarding = False  # that line passed LINE_LIMIT, and its bytes are dropped
-        while True:
-            chunk = self.rfile.read1(io.DEFAULT_BUFFER_SIZE)
-            if chunk:
-                *lines, rest = chunk.split(b"\n")
-                if lines:
-                    # a line that passed LINE_LIMIT is handed on as None
-                    lines[0] = None if discarding else tail + lines[0]
-                    tail, discarding = bytearray(), False
-                if not discarding:
-                    tail += rest
-                    if len(tail) > LINE_LIMIT:
-                        tail, discarding = bytearray(), True
-            else:
-                # the client went away; a last line without a newline still counts
-                lines = [None] if discarding else [tail] if tail else []
-            replies: list[str] = []
-            ended = any(self._line(raw, replies) for raw in lines)
-            if replies:
-                self.wfile.write("".join(line + "\n" for line in replies).encode("utf-8"))
-            if ended or not chunk:
-                return
+        try:
+            for line_no, text in enumerate(read_lines(self.rfile), start=1):
+                replies: list[str] = []
+                ended = self._line(line_no, text, replies)
+                if replies:
+                    self.wfile.write("".join(line + "\n" for line in replies).encode("utf-8"))
+                if ended:
+                    return
+        except (TimeoutError, ConnectionError):
+            pass  # a silent, stalled or vanished client: its session ends quietly
 
-    def _line(self, raw: bytes | bytearray | None, replies: list[str]) -> bool:
+    def _line(self, line_no: int, text: str | None, replies: list[str]) -> bool:
         """Handle one line, header included, appending its replies to
-        `replies`; True when the session has ended. `raw` is None for a
-        line whose bytes were discarded past LINE_LIMIT."""
-        self.line_no += 1
-        line_no = self.line_no
+        `replies`; True when the session has ended. `text` is None for a
+        line longer than the limit."""
         engine = self.engine
-        if raw is None or len(raw) > LINE_LIMIT:
+        if text is None:
             replies.append(f"err {LineTooLong.code} {line_no}")
             return engine is None
-        text = raw.decode("utf-8", errors="replace").strip()
         if engine is None:
             parts = text.split()
             if len(parts) != 3 or parts[0] != "session":

@@ -2,7 +2,10 @@
 
 Three formats live here. Frame streams (`.frames`) are one JSON object
 per line so they can be replayed, tailed, and piped over sockets
-without framing; floats round-trip exactly via repr. Templates
+without framing; floats round-trip exactly via repr. `read_lines` is
+the one rule that splits, bounds and decodes those lines, for files and
+server sessions alike. Every joint component of a frame lies within
+COORDINATE_LIMIT of 0, as scene and template coordinates do. Templates
 (`.gesture`) are single JSON documents with an explicit format
 version. Trial results are plain CSV with a fixed header.
 
@@ -42,7 +45,7 @@ from .hand import JOINT_COUNT, HandFrame, JointId
 logger = logging.getLogger(__name__)
 
 TEMPLATE_FORMAT_VERSION = 1
-COORDINATE_LIMIT = 1000.0  # meters: no scene or template coordinate lies farther from 0
+COORDINATE_LIMIT = 1000.0  # meters: no frame, scene or template coordinate lies farther from 0
 TRACKER_RATE = 90.0  # frames per second of a hand tracker, for generated streams
 LINE_LIMIT = 64 * 1024  # bytes in one stream line, newline excluded; a longer line is LineTooLong
 RESULTS_HEADER = ("technique", "object", "accuracy_m", "tct_s", "dropped", "band")
@@ -145,8 +148,10 @@ def parse_frame_line(
     """Parse one stream line into a HandFrame.
 
     Unknown fields are ignored through the warning channel (default:
-    module logger), once per line. Raises ParseError / CountError with
-    the line number and field on malformed input.
+    module logger), one warning per unknown field. Raises ParseError /
+    CountError with the line number and field on malformed input, and
+    ParseError for a joint component that is not finite or lies farther
+    than COORDINATE_LIMIT from 0.
     """
     warn = on_warning if on_warning is not None else logger.warning
     if len(text) <= _ORJSON_MAX_CHARS:
@@ -232,12 +237,8 @@ def _frame_from_record(record, line_no: int, warn: Callable[[str], None]) -> Han
         joints = joints.astype(np.float64, copy=False)
     else:
         joints = _joints_one_by_one(joints_raw, line_no)
-    finite = np.isfinite(joints)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ParseError(
-            f"joint {i} has a non-finite component", line_no=line_no, field=f"joints[{i}]"
-        )
+    if not np.abs(joints).max() <= COORDINATE_LIMIT:  # NaN fails it too
+        raise _unbounded_joint(joints, line_no)
 
     grip_raw = record.get("grip")
     if grip_raw is None:
@@ -251,6 +252,19 @@ def _frame_from_record(record, line_no: int, warn: Callable[[str], None]) -> Han
             f"field 'grip' must be 0|1, got {grip_raw!r}", line_no=line_no, field="grip"
         )
     return HandFrame(timestamp=timestamp, side=side, joints=joints, grip=grip, line_no=line_no)
+
+
+def _unbounded_joint(joints: np.ndarray, line_no: int) -> ParseError:
+    """The error naming the first non-finite joint, or when all are finite,
+    the first with a component farther than COORDINATE_LIMIT from 0."""
+    finite = np.isfinite(joints).all(axis=1)
+    if finite.all():
+        i = int(np.flatnonzero((np.abs(joints) > COORDINATE_LIMIT).any(axis=1))[0])
+        message = f"joint {i} has a component farther than {COORDINATE_LIMIT:g} from 0"
+    else:
+        i = int(np.flatnonzero(~finite)[0])
+        message = f"joint {i} has a non-finite component"
+    return ParseError(message, line_no=line_no, field=f"joints[{i}]")
 
 
 def _joints_one_by_one(joints_raw: list, line_no: int) -> np.ndarray:
@@ -288,22 +302,32 @@ def write_frames(path: str | Path, frames: Iterable[HandFrame]) -> None:
             fh.write("\n")
 
 
-def read_frames(path: str | Path) -> Iterator[HandFrame]:
-    """Yield frames from a `.frames` file; blank lines are skipped.
+def read_lines(fh) -> Iterator[str | None]:
+    """Yield each line of the binary stream `fh`, as files and server
+    sessions read it: its text (UTF-8 with a bad byte as U+FFFD, so it
+    fails only its line; stripped), or None for a line longer than
+    LINE_LIMIT bytes, newline excluded, once it is read to its newline in
+    pieces of at most LINE_LIMIT + 1 bytes and dropped. A last line
+    without a newline is still a line."""
+    readline = fh.readline
+    while line := readline(LINE_LIMIT + 1):
+        if len(line) > LINE_LIMIT and not line.endswith(b"\n"):
+            while (piece := readline(LINE_LIMIT + 1)) and not piece.endswith(b"\n"):
+                pass
+            yield None
+        else:
+            yield line.decode("utf-8", errors="replace").strip()
 
-    Lines are split, bounded and decoded as the server splits, bounds and
-    decodes them: a line longer than LINE_LIMIT bytes is LineTooLong, read
-    no further than one byte past the limit, and a byte that is not UTF-8
-    reads as U+FFFD, so it can fail only its line.
-    """
+
+def read_frames(path: str | Path) -> Iterator[HandFrame]:
+    """Yield frames from a `.frames` file, its lines read by `read_lines`;
+    blank lines are skipped and an overlong line is LineTooLong."""
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(iter(lambda: fh.readline(LINE_LIMIT + 1), b""), start=1):
-            if len(line.removesuffix(b"\n")) > LINE_LIMIT:
+        for line_no, text in enumerate(read_lines(fh), start=1):
+            if text is None:
                 raise LineTooLong(f"line longer than {LINE_LIMIT} bytes", line_no=line_no, field="line")
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            yield parse_frame_line(text, line_no=line_no)
+            if text:
+                yield parse_frame_line(text, line_no=line_no)
 
 
 # ── gesture template files ─────────────────────────────────────────────────

@@ -132,6 +132,15 @@ def test_synth_number_it_cannot_use_is_a_usage_error_before_writing(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--at", "1000,0,0"), ("--at", "0,0,999.9"), ("--sigma", "1e300")])
+def test_synth_joints_past_the_coordinate_limit_are_a_usage_error_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.frames"
+    code = main(["synth", "--pose", "open", "--duration", "0.1", f"{flag}={value}", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "usage error: --at and --sigma put joints farther than 1000 from 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["0", "0.01"])
 def test_synth_negative_seed_is_a_usage_error_whatever_the_noise(tmp_path, sigma):
     out = tmp_path / "x.frames"
@@ -277,6 +286,26 @@ def test_capture_refuses_a_backwards_degenerate_or_other_side_frame_naming_its_l
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("data error: ")
     assert result.stderr.endswith(f" (line {line}, field {field})\n")
+    assert not out.exists()
+
+
+def test_capture_refuses_a_pose_its_template_loader_would_refuse_naming_the_completing_line(tmp_path, capsys):
+    scene, _ = load_scene(SCENE)
+    frames = synth_stream("fist", duration=4.0, at=scene.object_by_id("nail").position)
+    for frame in frames:
+        # a hand of half the reference size: within the coordinate limit, but
+        # its thumb tip lies about 2,000 hand-scaled meters from the wrist
+        frame.joints[:] = frame.joints[0] + 0.5 * (frame.joints - frame.joints[0])
+        frame.joints[JointId.THUMB_TIP] = (999.0, 999.0, 999.0)
+    stream, out = tmp_path / "far.frames", tmp_path / "nail.gesture"
+    write_frames(stream, frames)
+    code = main(["capture", "--in", str(stream), "--scene", str(SCENE), "--object", "nail", "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"data error: template {out}: 'joints_local' must be 25 rows of [x, y, z] with |x| <= 1000,"
+        " got a JSON array (line 271, field joints_local)\n"
+    )
     assert not out.exists()
 
 

@@ -18,15 +18,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handgrasp import server as server_mod
+from handgrasp import server as server_mod, streams
 from handgrasp.cli import main
 from handgrasp.errors import FrameError
 from handgrasp.hand import HandFrame, JointId
 from handgrasp.scene import ProtocolSpec, Scene, SceneObject, TargetSphere, load_scene, save_scene
 from handgrasp.scripts import script_protocol_run
-from handgrasp.server import LINE_LIMIT, GraspServer
+from handgrasp.server import GraspServer
 from handgrasp.sim import SessionEngine
-from handgrasp.streams import format_frame_line, parse_frame_line, pose_frame
+from handgrasp.streams import LINE_LIMIT, format_frame_line, parse_frame_line, pose_frame, read_lines
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SCENE = DATA / "demo" / "scene.json"
@@ -338,6 +338,39 @@ def test_a_file_and_the_server_bound_a_line_alike(service, tmp_path, capsys, len
         assert replies.decode().splitlines() == expected
 
 
+def test_a_file_and_the_server_refuse_a_joint_past_the_coordinate_limit_alike(service, tmp_path, capsys):
+    address, scenes = service
+    nail = scenes["demo"][0].object_by_id("nail")
+    frames = [pose_frame("open", timestamp=i / 90.0, at=nail.position) for i in range(3)]
+    frames[1].joints[JointId.THUMB_TIP] = (1e300, 0.0, 0.0)
+    stream = tmp_path / "far.frames"
+    stream.write_text("".join(format_frame_line(frame) + "\n" for frame in frames))
+    exit_code = main(["recognize", "--in", str(stream), "--scene", str(SCENE), "--technique", "custom"])
+    stdout, stderr = capsys.readouterr()
+    engine = SessionEngine(*scenes["demo"], "custom")
+    first = engine.feed(frames[0])
+    assert first == ["hover nail 0.0"]
+    assert (exit_code, stdout.splitlines()) == (2, first)
+    assert stderr == "data error: joint 4 has a component farther than 1000 from 0 (line 2, field joints[4])\n"
+    replies = _exchange(address, f"session demo custom\n{stream.read_text()}end\n".encode())
+    expected = [*first, "err parse 3", *engine.feed(frames[2]), engine.summary().to_line()]
+    assert replies.decode().splitlines() == expected
+
+
+# ── idle, stalled and vanished clients ───────────────────────────────────
+
+
+@pytest.mark.parametrize("sent", [b"", b"session demo custom\n"], ids=["from-the-start", "after-the-header"])
+def test_a_silent_client_is_closed_with_no_reply(service, monkeypatch, sent):
+    address, _ = service
+    assert server_mod._SessionHandler.timeout == server_mod.SESSION_TIMEOUT
+    monkeypatch.setattr(server_mod._SessionHandler, "timeout", 0.5)
+    with socket.create_connection(address, timeout=60) as sock:
+        sock.settimeout(30)  # far past the handler's timeout
+        sock.sendall(sent)
+        assert sock.recv(1) == b""
+
+
 # ── stopping ─────────────────────────────────────────────────────────────
 
 
@@ -422,7 +455,8 @@ def test_a_frames_event_lines_go_out_in_one_write(observed_service):
 
 
 class _Pieces(io.RawIOBase):
-    """A connection whose reads return the given pieces, one per read."""
+    """A connection whose reads return the given pieces, one per read; a
+    piece that is an exception is raised by its read."""
 
     def __init__(self, pieces: list[bytes]):
         self._pieces = deque(pieces)
@@ -434,6 +468,8 @@ class _Pieces(io.RawIOBase):
         if not self._pieces:
             return 0
         piece = self._pieces.popleft()
+        if isinstance(piece, Exception):
+            raise piece
         size = min(len(piece), len(buffer))
         buffer[:size] = piece[:size]
         if size < len(piece):
@@ -523,6 +559,79 @@ def test_replies_do_not_depend_on_how_input_is_cut(mini_replay, data):
             expected.append(summary)
     handler = _ScriptedHandler(pieces, ("test", 0), SimpleNamespace(scenes=scenes))
     assert handler.wfile.getvalue() == "".join(line + "\n" for line in expected).encode("utf-8")
+
+
+class _Unwritable(io.RawIOBase):
+    def __init__(self, error: Exception):
+        self._error = error
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data):
+        raise self._error
+
+
+@pytest.mark.parametrize("error", [ConnectionResetError, TimeoutError])
+@pytest.mark.parametrize("side", ["read", "write"])
+def test_a_connection_that_resets_or_times_out_ends_its_session_quietly(mini_replay, side, error):
+    scenes, lines, frame_replies, _, _ = mini_replay
+    session = f"session mini controller\n{lines[0]}\n".encode()
+    pieces = [session, error("gone"), b"end\n"] if side == "read" else [session, b"end\n"]
+
+    class Handler(_ScriptedHandler):
+        def setup(self) -> None:
+            super().setup()
+            if side == "write":
+                self.wfile = _Unwritable(error("gone"))
+
+    handler = Handler(pieces, ("test", 0), SimpleNamespace(scenes=scenes))  # returns, raising nothing
+    assert handler.rfile.read() == b"end\n"  # the session ended at the fault
+    if side == "read":
+        assert handler.wfile.getvalue() == "".join(line + "\n" for line in frame_replies[0]).encode()
+
+
+def _reference_lines(payload: bytes, limit: int) -> list:
+    """`read_lines` spelt as a split: every line, an unterminated last one
+    included; None past `limit` bytes, else its decoded, stripped text."""
+    lines = payload.split(b"\n")
+    if lines[-1] == b"":  # the payload is empty or ends in a newline
+        lines.pop()
+    return [None if len(line) > limit else line.decode("utf-8", errors="replace").strip() for line in lines]
+
+
+_SHORT_LIMIT = 16
+# single bytes and characters that lines are built of: ASCII, a carriage
+# return, whitespace, a multi-byte character and bytes that are not UTF-8
+_LINE_PARTS = st.sampled_from([b"a", b"{", b" ", b"\t", b"\r", b"\xff", b"\xc3", b"\xa9", "\u270b".encode()])
+
+
+@st.composite
+def _cut_payloads(draw):
+    """Bytes of up to 8 lines, a few of them within a byte or two of the
+    limit and some past twice it, cut into pieces."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            size = draw(st.integers(_SHORT_LIMIT - 1, _SHORT_LIMIT + 2))
+            line = draw(st.binary(min_size=size, max_size=size)).replace(b"\n", b"a")
+        else:
+            line = b"".join(draw(st.lists(_LINE_PARTS, max_size=3 * _SHORT_LIMIT)))
+        lines.append(line + (b"\r" if draw(st.booleans()) else b""))  # a \r\n line end
+    payload = b"\n".join(lines) + (b"\n" if lines and draw(st.booleans()) else b"")
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(len(payload) - 1, 1)), max_size=20))))
+    bounds = [0, *(cut for cut in cuts if cut < len(payload)), len(payload)]
+    return payload, [payload[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=_cut_payloads(), buffer_size=st.sampled_from([1, 5, _SHORT_LIMIT + 1, io.DEFAULT_BUFFER_SIZE]))
+def test_read_lines_equals_a_split_on_newlines_however_the_input_is_cut(cut, buffer_size):
+    payload, pieces = cut
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "LINE_LIMIT", _SHORT_LIMIT)
+        read = list(read_lines(io.BufferedReader(_Pieces(pieces), buffer_size=buffer_size)))
+    assert read == _reference_lines(payload, _SHORT_LIMIT)
 
 
 def _subclasses(cls) -> set:

@@ -16,6 +16,7 @@ from handgrasp.errors import CountError, ParseError
 from handgrasp.hand import HandFrame, JointId, canonicalize
 from handgrasp.pinch import PinchState
 from handgrasp.streams import (
+    COORDINATE_LIMIT,
     FIST_TIP_REACH,
     PINCH_TIP_GAP,
     POSE_KINDS,
@@ -40,17 +41,22 @@ from handgrasp.streams import (
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+# -0.0, subnormals and the limit itself included
+_bounded = st.one_of(
+    st.floats(-COORDINATE_LIMIT, COORDINATE_LIMIT),
+    st.sampled_from([-0.0, 5e-324, -5e-324, COORDINATE_LIMIT, -COORDINATE_LIMIT]),
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    joints=arrays(np.float64, (25, 3), elements=_finite),
+    joints=arrays(np.float64, (25, 3), elements=_bounded),
     timestamp=_finite,
     side=st.sampled_from(["left", "right"]),
     grip=st.sampled_from([None, True, False]),
 )
 def test_frame_line_round_trip_is_exact(joints, timestamp, side, grip):
-    # -0.0, subnormals and the largest finite floats included
+    # joints within COORDINATE_LIMIT of 0; timestamps up to the largest finite floats
     frame = HandFrame(timestamp, side, joints, grip=grip)
     line = format_frame_line(frame)
     back = parse_frame_line(line, line_no=1)
@@ -105,6 +111,31 @@ def test_frame_line_rejects_non_finite_joint_naming_it(value):
         parse_frame_line(line, line_no=6)
     assert not isinstance(err.value, CountError)
     assert (err.value.line_no, err.value.field) == (6, "joints[11]")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    joints=arrays(np.float64, (25, 3), elements=_bounded),
+    where=st.tuples(st.integers(0, 24), st.integers(0, 2)),
+    value=st.floats(COORDINATE_LIMIT, 1.7e308, exclude_min=True),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_frame_line_rejects_a_joint_past_the_coordinate_limit_naming_it(joints, where, value, sign):
+    joints[where] = sign * value
+    line = format_frame_line(HandFrame(0.0, "right", joints))
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(line, line_no=5)
+    assert not isinstance(err.value, CountError)
+    assert (err.value.line_no, err.value.field) == (5, f"joints[{where[0]}]")
+    assert str(err.value) == f"joint {where[0]} has a component farther than 1000 from 0"
+
+
+def test_frame_line_names_a_non_finite_joint_before_one_past_the_limit():
+    joints = np.zeros((25, 3))
+    joints[2, 0], joints[7, 1] = 1e300, float("nan")
+    with pytest.raises(ParseError) as err:
+        parse_frame_line(format_frame_line(HandFrame(0.0, "right", joints)), line_no=1)
+    assert (str(err.value), err.value.field) == ("joint 7 has a non-finite component", "joints[7]")
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -211,7 +242,7 @@ def test_frame_line_unknown_field_warns_but_parses():
 
 # The per-joint parser that the bulk conversion replaced, with floats read
 # the way the product reads them now: a string is never a number, nor is a
-# boolean timestamp. It decodes with json alone, the grammar of record, so
+# boolean timestamp, and a joint component lies within COORDINATE_LIMIT of 0. It decodes with json alone, the grammar of record, so
 # the product's orjson path must agree with it on every input.
 
 
@@ -269,10 +300,13 @@ def _reference_parse(text: str, line_no: int, on_warning) -> HandFrame:
             raise ParseError(
                 f"joint {i} has an out-of-range component", line_no=line_no, field=f"joints[{i}]"
             ) from None
-    finite = np.isfinite(joints)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ParseError(f"joint {i} has a non-finite component", line_no=line_no, field=f"joints[{i}]")
+    for i, row in enumerate(joints):
+        if not np.isfinite(row).all():
+            raise ParseError(f"joint {i} has a non-finite component", line_no=line_no, field=f"joints[{i}]")
+    for i, row in enumerate(joints):
+        if any(abs(v) > COORDINATE_LIMIT for v in row):
+            message = f"joint {i} has a component farther than 1000 from 0"
+            raise ParseError(message, line_no=line_no, field=f"joints[{i}]")
     grip_raw = record.get("grip")
     if grip_raw is None:
         grip = None
@@ -316,7 +350,7 @@ def _frame_texts(draw) -> str:
     def rarely() -> bool:
         return draw(st.integers(0, 7)) == 7
 
-    rows = [[repr(float(v)) for v in row] for row in draw(arrays(np.float64, (25, 3), elements=_finite))]
+    rows = [[repr(float(v)) for v in row] for row in draw(arrays(np.float64, (25, 3), elements=_bounded))]
     for _ in range(draw(st.integers(0, 3))):  # odd components
         row = rows[draw(st.integers(0, 24))]
         row[draw(st.integers(0, 2))] = draw(_COMPONENT)
