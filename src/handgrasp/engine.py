@@ -11,8 +11,8 @@ owner. `TemplateStore` keeps each owner's templates of each role as one
 stack, built as the scene loads; `recognize` scores the hovered owners'
 stacks and writes nothing, so one store serves any number of sessions.
 `hover_update` measures each object once per frame, where a pose
-map puts it, and returns the distances, from which direct grabs pick the
-nearest hovered object, and the hovered ids. Authoring a template is a
+map puts it, and returns the hover edges, the hovered ids and the nearest
+hovered object, which a direct grab takes. Authoring a template is a
 hold gesture: keep the hand still near the target object for a fixed
 duration and the pose at the completing frame becomes the template.
 
@@ -147,38 +147,34 @@ def surface_distance(frame: HandFrame, position, bounding_radius: float) -> floa
     return float(_joint_distances(frame.joints, position).min() - bounding_radius)
 
 
-@dataclass(frozen=True)
-class HoverEvent:
-    kind: str  # "hover" | "unhover"
-    object_id: str
-    timestamp: float
-
-
 def hover_update(
     frame: HandFrame,
     objects,
     poses: dict[str, RigidTransform],
     hovered: frozenset[str],
     hover_radius: float,
-) -> tuple[list[HoverEvent], dict[str, float], frozenset[str]]:
+) -> tuple[list[tuple[str, str]], frozenset[str], str | None]:
     """Edge-triggered hover tracking over the listed objects, where `poses` puts them now.
 
     `hovered` holds the ids hovered before this frame. Objects need
-    `object_id` and `bounding_radius`. Returns the edges, each object's
-    surface distance by id (computed once per frame, for callers that pick
-    among the hovered) and the ids hovered after this frame.
+    `object_id` and `bounding_radius`. Returns the ("hover" | "unhover",
+    id) edges in object order, the ids hovered after this frame, and the
+    id of the nearest of those by surface distance (exact ties go to the
+    smaller id), or None.
     """
-    events: list[HoverEvent] = []
-    distances: dict[str, float] = {}
+    edges: list[tuple[str, str]] = []
+    nearest: tuple[float, str] | None = None
     for obj in objects:
-        distance = surface_distance(frame, poses[obj.object_id].translation, obj.bounding_radius)
-        distances[obj.object_id] = distance
+        object_id = obj.object_id
+        distance = surface_distance(frame, poses[object_id].translation, obj.bounding_radius)
         inside = distance <= hover_radius
-        if inside != (obj.object_id in hovered):
-            events.append(HoverEvent("hover" if inside else "unhover", obj.object_id, frame.timestamp))
-    if events:
-        hovered = hovered ^ {event.object_id for event in events}  # each edge flips one object
-    return events, distances, hovered
+        if inside != (object_id in hovered):
+            edges.append(("hover" if inside else "unhover", object_id))
+        if inside and (nearest is None or (distance, object_id) < nearest):
+            nearest = (distance, object_id)
+    if edges:
+        hovered = hovered ^ {object_id for _, object_id in edges}  # each edge flips one object
+    return edges, hovered, None if nearest is None else nearest[1]
 
 
 def recognize(

@@ -10,12 +10,14 @@ order. Malformed lines get one
 
     err <code> <line-no>
 
-reply. A bad header draws `header`, `scene` or `technique` and ends the
-session; a rejected frame draws the `code` of its `FrameError` (`parse`,
-`joints`, `degenerate`, `time`, `hand`, `finished`) and the session
-continues. Lines are read by `streams.read_lines`, as files are: a
-line longer than `streams.LINE_LIMIT` bytes is read to its newline,
-dropped, and answered `err toolong <line-no>`. An overlong header ends
+reply. A bad header draws `header`, `scene` or `technique` (an unknown
+technique: a scene no engine can run is refused as the server is built)
+and ends the session; a rejected frame draws the `code` of its
+`FrameError` (`parse`, `joints`, `degenerate`, `time`, `hand`,
+`finished`) and the session continues. Lines are read by
+`streams.read_lines`, as files are: a line longer than
+`streams.LINE_LIMIT` bytes is read to its newline, dropped, and
+answered `err toolong <line-no>`. An overlong header ends
 the session; any other overlong line does not. Line numbers count every
 line in the session including the header. An `end` line yields a
 single summary line and closes the session. A last line without a
@@ -42,7 +44,7 @@ import threading
 from .errors import FrameError, InvalidArgument, LineTooLong
 from .scene import Scene
 from .engine import TemplateStore
-from .sim import SessionEngine
+from .sim import TECHNIQUES, SessionEngine
 from .streams import parse_frame_line, read_lines
 
 SESSION_TIMEOUT = 60.0  # seconds one read or write of a session may wait
@@ -102,7 +104,12 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
 
 class GraspServer(socketserver.ThreadingTCPServer):
-    """Owns the listening socket; `scenes` maps id -> (Scene, TemplateStore)."""
+    """Owns the listening socket; `scenes` maps id -> (Scene, TemplateStore).
+
+    Each scene must be one an engine can run: a scene it would refuse
+    (an object id listed twice, a protocol without a target) raises
+    InvalidArgument here, before the socket is bound.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -113,6 +120,8 @@ class GraspServer(socketserver.ThreadingTCPServer):
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        for scene, store in scenes.values():
+            SessionEngine(scene, store, TECHNIQUES[0])
         super().__init__((host, port), _SessionHandler)
         self.scenes = scenes
         self._thread: threading.Thread | None = None

@@ -14,7 +14,7 @@ and a frame of the other side is refused. A file replay
 REPLAY_BLOCK at a time and canonicalizes each block in one call; the
 server and single `feed` calls canonicalize frame by frame, with the same
 bits. Hover then measures each present object once, where `object_poses`
-puts it now, and the direct techniques grab from those distances. One
+puts it now, and names the nearest hovered object for a direct grab. One
 GrabTracker holds the grabbed object under every technique: each frame it
 carries the held object on the palm, then applies the technique's intent.
 Only the code that decides the intent differs:
@@ -165,6 +165,12 @@ class SessionEngine:
     def __init__(self, scene: Scene, store: TemplateStore, technique: str):
         if technique not in TECHNIQUES:
             raise InvalidArgument(f"unknown technique {technique!r}")
+        object_poses = {
+            obj.object_id: RigidTransform(np.eye(3), obj.position.copy()) for obj in scene.objects
+        }
+        if len(object_poses) < len(scene.objects):  # poses, hover and lines go by id
+            raise InvalidArgument(f"scene {scene.scene_id!r} lists an object id twice")
+        self.object_poses: dict[str, RigidTransform] = object_poses
         self.scene = scene
         self.store = store
         self.technique = technique
@@ -173,11 +179,6 @@ class SessionEngine:
         self.finished = False
         self._last_time: float | None = None
         self._side: str | None = None  # bound by the first accepted frame
-
-        self.object_poses: dict[str, RigidTransform] = {
-            obj.object_id: RigidTransform(np.eye(3), obj.position.copy())
-            for obj in scene.objects
-        }
 
         self._tracker = GrabTracker()
         self._template_intent: TemplateIntent | None = None
@@ -274,19 +275,19 @@ class SessionEngine:
             self._begin_trial()
 
         # hover reads object_poses, so a held object stays hovered in transit
-        events, distances, self.hovered = hover_update(
+        edges, self.hovered, nearest = hover_update(
             frame, self._present_objects(), self.object_poses, self.hovered, self.scene.hover_radius
         )
-        lines = [f"{event.kind} {event.object_id} {_fmt(event.timestamp)}" for event in events]
+        lines = [f"{kind} {object_id} {_fmt(frame.timestamp)}" for kind, object_id in edges]
 
         if self._template_intent is not None:
             intent = self._template_intent.decide(
                 self._tracker, frame.timestamp, hand, self.hovered
             )
         elif self._pinch is not None:
-            intent = self._pinch_intent(frame, distances, lines)
+            intent = self._pinch_intent(frame, nearest, lines)
         else:
-            intent = self._grip_intent(frame, distances)
+            intent = self._grip_intent(frame, nearest)
         event = self._tracker.step(frame.timestamp, hand.palm, self.object_poses, intent)
         if event is None:
             return lines
@@ -301,28 +302,23 @@ class SessionEngine:
                 lines.extend(self._finish_trial(event.object_id, event.timestamp))
         return lines
 
-    def _pinch_intent(
-        self, frame: HandFrame, distances: dict[str, float], lines: list[str]
-    ) -> Match | str | None:
+    def _pinch_intent(self, frame: HandFrame, nearest: str | None, lines: list[str]) -> Match | str | None:
         event = self._pinch.update(frame)
         if event is None:
             return None
         lines.append(f"{event.kind} {_fmt(event.timestamp)}")
-        return self._nearest_hovered(distances, "pinch") if event.kind == "pinch-start" else RELEASE
+        if event.kind != "pinch-start":
+            return RELEASE
+        return Match("pinch", nearest, 0.0) if nearest is not None else None
 
-    def _grip_intent(self, frame: HandFrame, distances: dict[str, float]) -> Match | str | None:
+    def _grip_intent(self, frame: HandFrame, nearest: str | None) -> Match | str | None:
         grip = bool(frame.grip)
         rising = grip and not self._grip_was
         falling = self._grip_was and not grip
         self._grip_was = grip
         if rising:
-            return self._nearest_hovered(distances, "grip")
+            return Match("grip", nearest, 0.0) if nearest is not None else None
         return RELEASE if falling else None
-
-    def _nearest_hovered(self, distances: dict[str, float], label: str) -> Match | None:
-        """A direct grab of the nearest hovered object, scored 0; ties go to the smaller id."""
-        nearest = min(((distances[object_id], object_id) for object_id in self.hovered), default=None)
-        return Match(label, nearest[1], 0.0) if nearest else None
 
     def summary(self) -> RunSummary:
         return summarize(self.results, self.technique)

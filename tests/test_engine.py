@@ -336,18 +336,20 @@ def test_hover_event_at_nine_centimetres():
     obj, store = _cup()
     frame = _hover_frame(0.09, obj)
     assert surface_distance(frame, obj.position, obj.bounding_radius) <= HOVER_RADIUS
-    events, _, hovered = hover_update(frame, [obj], _poses(obj), frozenset(), HOVER_RADIUS)
-    assert [event.kind for event in events] == ["hover"]
+    edges, hovered, nearest = hover_update(frame, [obj], _poses(obj), frozenset(), HOVER_RADIUS)
+    assert [kind for kind, _ in edges] == ["hover"]
     assert hovered == {"cup"}
+    assert nearest == "cup"
     assert recognize(canonicalize(pose_frame("fist")), hovered, store, "grab").gesture == "cup-g"
 
 
 def test_unhover_event_at_eleven_centimetres():
     obj, store = _cup()
-    _, _, hovered = hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), frozenset(), HOVER_RADIUS)
-    events, _, hovered = hover_update(_hover_frame(0.11, obj), [obj], _poses(obj), hovered, HOVER_RADIUS)
-    assert [event.kind for event in events] == ["unhover"]
+    _, hovered, _ = hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), frozenset(), HOVER_RADIUS)
+    edges, hovered, nearest = hover_update(_hover_frame(0.11, obj), [obj], _poses(obj), hovered, HOVER_RADIUS)
+    assert [kind for kind, _ in edges] == ["unhover"]
     assert hovered == frozenset()
+    assert nearest is None
     assert recognize(canonicalize(pose_frame("fist")), hovered, store, "grab") is None
 
 
@@ -355,9 +357,10 @@ def test_hover_is_edge_triggered():
     obj, _ = _cup()
     events, hovered = [], frozenset()
     for _ in range(100):
-        edges, _, hovered = hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), hovered, HOVER_RADIUS)
+        edges, hovered, nearest = hover_update(_hover_frame(0.09, obj), [obj], _poses(obj), hovered, HOVER_RADIUS)
         events.extend(edges)
-    assert len(events) == 1
+        assert nearest == "cup"
+    assert events == [("hover", "cup")]
 
 
 def _step(intent: TemplateIntent, tracker: GrabTracker, frame: HandFrame, hovered, poses):

@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from handgrasp import server as server_mod, streams
 from handgrasp.cli import main
-from handgrasp.errors import FrameError
+from handgrasp.engine import TemplateStore
+from handgrasp.errors import FrameError, InvalidArgument
 from handgrasp.hand import HandFrame, JointId
 from handgrasp.scene import ProtocolSpec, Scene, SceneObject, TargetSphere, load_scene, save_scene
 from handgrasp.scripts import script_protocol_run
@@ -174,6 +175,24 @@ def test_unknown_scene(service):
 def test_unknown_technique(service):
     address, _ = service
     assert _talk(address, "session demo wand", [], end=False) == ["err technique 1"]
+
+
+@pytest.mark.parametrize(
+    "objects, protocol",
+    [
+        ((SceneObject("cube", np.array([0.3, 0.0, 0.3]), 0.05),), ProtocolSpec()),
+        ((SceneObject("a", np.array([0.3, 0.0, 0.3]), 0.05),) * 2, None),
+    ],
+    ids=["protocol-without-target", "object-id-twice"],
+)
+def test_a_scene_no_engine_can_run_is_refused_before_the_server_binds(objects, protocol, monkeypatch):
+    # each used to be served, and every session on it drew `err technique 1`
+    binds = []
+    monkeypatch.setattr(GraspServer, "server_bind", lambda server: binds.append(server))
+    scene = Scene("bad", objects, protocol=protocol)
+    with pytest.raises(InvalidArgument):
+        GraspServer({"good": load_scene(SCENE), "bad": (scene, TemplateStore())}, port=0)
+    assert binds == []
 
 
 def test_wrong_joint_count_continues_session(service):

@@ -18,6 +18,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from handgrasp import engine as engine_module
 from handgrasp import hand
+from handgrasp import sim as sim_module
 from handgrasp.engine import TemplateStore
 from handgrasp.errors import (
     DegenerateHand,
@@ -261,6 +262,15 @@ def test_protocol_that_cannot_run_is_refused_before_the_session_starts(build):
         SessionEngine(build(), TemplateStore(), "controller")
 
 
+def test_a_scene_listing_an_object_id_twice_is_refused_before_the_session_starts():
+    # load_scene refuses such a scene; built in code, one pose stood for both
+    # objects, so a hand on the first drew nothing and one on the second drew
+    # every hover edge twice
+    objects = (SceneObject("a", [0.3, 0.0, 0.45], 0.02), SceneObject("a", [0.0, 0.3, 0.45], 0.02))
+    with pytest.raises(InvalidArgument, match="scene 'dup' lists an object id twice"):
+        SessionEngine(Scene("dup", objects), TemplateStore(), "controller")
+
+
 # ── replay harness ───────────────────────────────────────────────────────
 
 
@@ -398,6 +408,35 @@ def test_palm_basis_is_computed_at_most_once_per_frame(demo, technique, monkeypa
     assert engine.finished
     # every frame computes its palm once, up front; the held object rides it
     assert set(per_frame) == {1}
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_hover_is_one_hover_update_call_per_frame_fed_or_replayed(demo, technique, monkeypatch):
+    # the benchmark times hover as one span per frame around this name
+    scene, store = demo
+    update = sim_module.hover_update
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return update(*args)
+
+    monkeypatch.setattr(sim_module, "hover_update", counted)
+    engine = SessionEngine(scene, store, technique)
+    per_frame = []
+    for frame in script_protocol_run(scene, technique):
+        if engine.finished:
+            break
+        before = len(calls)
+        engine.feed(frame)
+        per_frame.append(len(calls) - before)
+    assert engine.finished
+    assert set(per_frame) == {1}
+    calls.clear()
+    replay = SessionEngine(scene, store, technique).replay(script_protocol_run(scene, technique))
+    replayed = sum(1 for _ in replay)
+    assert replayed == len(per_frame)
+    assert len(calls) == replayed
 
 
 # ── hover and the nearest hovered object ─────────────────────────────────
